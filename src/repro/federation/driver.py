@@ -524,6 +524,12 @@ class FederatedSensor:
         self._merge_engine.adopt_training(X, y, encoder)
         return self
 
+    def adopt_voter(self, voter) -> "FederatedSensor":
+        """Hand the merge engine the fitted vote for that model (see
+        :meth:`~repro.sensor.engine.SensorEngine.adopt_voter`)."""
+        self._merge_engine.adopt_voter(voter)
+        return self
+
     def classify(self, features: FeatureSet) -> list[ClassifiedOriginator]:
         return self._merge_engine.classify(features)
 

@@ -17,6 +17,8 @@ from repro.ml.svm import BinarySvm, SvmClassifier, SvmConfig
 from repro.ml.validation import (
     HoldoutSummary,
     LabelEncoder,
+    MajorityVoter,
+    fit_majority_vote,
     majority_vote_predict,
     repeated_holdout,
     train_test_split,
@@ -37,6 +39,8 @@ __all__ = [
     "SvmConfig",
     "HoldoutSummary",
     "LabelEncoder",
+    "MajorityVoter",
+    "fit_majority_vote",
     "majority_vote_predict",
     "repeated_holdout",
     "train_test_split",

@@ -11,11 +11,12 @@ as the base learner of the random forest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["CartConfig", "DecisionTreeClassifier"]
+__all__ = ["CartConfig", "DecisionTreeClassifier", "NodeTable"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -29,18 +30,32 @@ class CartConfig:
     """Features considered per node; ``None`` means all (plain CART)."""
 
 
-@dataclass(slots=True)
-class _Node:
-    feature: int = -1
-    threshold: float = 0.0
-    left: "_Node | None" = None
-    right: "_Node | None" = None
-    # Class-probability vector at this node; used directly at leaves.
-    proba: np.ndarray = field(default_factory=lambda: np.zeros(0))
+class NodeTable(NamedTuple):
+    """Fitted trees as flat arrays, one entry per node.
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
+    Node *i* sends a row left when ``x[feature[i]] <= threshold[i]``; a
+    leaf is its own left and right child.
+    """
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+
+    def descend(self, roots: np.ndarray, depth: int, X: np.ndarray) -> np.ndarray:
+        """Leaf reached by every row of *X* from every root: (roots, rows).
+
+        *depth* level-synchronous numpy steps over all roots x rows; a row
+        that reaches its leaf early stays there.
+        """
+        n_rows, n_features = X.shape
+        flat = X.ravel()
+        offset = np.arange(n_rows) * n_features
+        node = np.repeat(roots, n_rows).reshape(len(roots), n_rows)
+        for _ in range(depth):
+            go_left = flat[offset + self.feature[node]] <= self.threshold[node]
+            node = np.where(go_left, self.left[node], self.right[node])
+        return node
 
 
 def _gini(counts: np.ndarray) -> float:
@@ -67,7 +82,11 @@ class DecisionTreeClassifier:
     ) -> None:
         self.config = config or CartConfig()
         self._rng = rng or np.random.default_rng(0)
-        self._root: _Node | None = None
+        self.nodes_: NodeTable | None = None
+        """The fitted tree in pre-order: node 0 is the root."""
+        self.value_: np.ndarray | None = None
+        """Class-probability vector of every node; read at the leaves."""
+        self.depth_: int = 0
         self.n_classes_: int = 0
         self.n_features_: int = 0
         self.feature_importances_: np.ndarray | None = None
@@ -105,33 +124,51 @@ class DecisionTreeClassifier:
         self.n_classes_ = n_classes
         self.n_features_ = X.shape[1]
         self._raw_importance = np.zeros(self.n_features_)
-        self._root = self._build(X, y, depth=0)
+        self.depth_ = 0
+        nodes: list[tuple[int, float, int, int]] = []
+        values: list[np.ndarray] = []
+        self._build(X, y, 0, nodes, values)
+        feature, threshold, left, right = zip(*nodes)
+        self.nodes_ = NodeTable(
+            np.array(feature, dtype=np.intp), np.array(threshold, dtype=float),
+            np.array(left, dtype=np.intp), np.array(right, dtype=np.intp),
+        )
+        self.value_ = np.stack(values)
         total = self._raw_importance.sum()
         self.feature_importances_ = (
             self._raw_importance / total if total > 0 else self._raw_importance.copy()
         )
         return self
 
-    def _build(self, X: np.ndarray, y: np.ndarray, depth: int) -> _Node:
+    def _build(
+        self, X: np.ndarray, y: np.ndarray, depth: int, nodes: list, values: list
+    ) -> int:
+        """Grow the subtree over (X, y) in pre-order; returns its node index.
+
+        Appends one ``(feature, threshold, left, right)`` row to *nodes*
+        and one class-probability vector to *values* per node.
+        """
         counts = np.bincount(y, minlength=self.n_classes_).astype(float)
-        node = _Node(proba=counts / counts.sum())
+        index = len(nodes)
+        nodes.append((0, 0.0, index, index))
+        values.append(counts / counts.sum())
+        self.depth_ = max(self.depth_, depth)
         if (
             depth >= self.config.max_depth
             or len(y) < self.config.min_samples_split
             or counts.max() == counts.sum()  # pure node
         ):
-            return node
+            return index
         split = self._best_split(X, y, counts)
         if split is None:
-            return node
+            return index
         feature, threshold, gain = split
         mask = X[:, feature] <= threshold
         self._raw_importance[feature] += gain * len(y)
-        node.feature = feature
-        node.threshold = threshold
-        node.left = self._build(X[mask], y[mask], depth + 1)
-        node.right = self._build(X[~mask], y[~mask], depth + 1)
-        return node
+        left = self._build(X[mask], y[mask], depth + 1, nodes, values)
+        right = self._build(X[~mask], y[~mask], depth + 1, nodes, values)
+        nodes[index] = (feature, threshold, left, right)
+        return index
 
     def _candidate_features(self) -> np.ndarray:
         if (
@@ -195,19 +232,17 @@ class DecisionTreeClassifier:
 
     # ------------------------------------------------------------------
 
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        if self._root is None:
+    def _fitted(self) -> NodeTable:
+        if self.nodes_ is None:
             raise RuntimeError("classifier is not fitted")
+        return self.nodes_
+
+    def predict_proba(self, X: np.ndarray) -> np.ndarray:
+        nodes = self._fitted()
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.n_features_:
             raise ValueError("feature count mismatch")
-        out = np.empty((len(X), self.n_classes_))
-        for i, row in enumerate(X):
-            node = self._root
-            while not node.is_leaf:
-                node = node.left if row[node.feature] <= node.threshold else node.right
-            out[i] = node.proba
-        return out
+        return self.value_[nodes.descend(np.zeros(1, dtype=np.intp), self.depth_, X)[0]]
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return np.argmax(self.predict_proba(X), axis=1)
@@ -215,23 +250,9 @@ class DecisionTreeClassifier:
     @property
     def depth(self) -> int:
         """Actual depth of the fitted tree (0 for a stump/leaf-only tree)."""
-
-        def walk(node: _Node | None) -> int:
-            if node is None or node.is_leaf:
-                return 0
-            return 1 + max(walk(node.left), walk(node.right))
-
-        if self._root is None:
-            raise RuntimeError("classifier is not fitted")
-        return walk(self._root)
+        self._fitted()
+        return self.depth_
 
     @property
     def node_count(self) -> int:
-        def count(node: _Node | None) -> int:
-            if node is None:
-                return 0
-            return 1 + count(node.left) + count(node.right)
-
-        if self._root is None:
-            raise RuntimeError("classifier is not fitted")
-        return count(self._root)
+        return len(self._fitted().feature)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.ml.cart import CartConfig, DecisionTreeClassifier
+from repro.ml.cart import CartConfig, DecisionTreeClassifier, NodeTable
 
 __all__ = ["ForestConfig", "RandomForestClassifier"]
 
@@ -40,7 +40,12 @@ class RandomForestClassifier:
     ) -> None:
         self.config = config or ForestConfig()
         self._seed = seed
-        self.trees_: list[DecisionTreeClassifier] = []
+        self.nodes_: NodeTable | None = None
+        """Every tree's nodes stacked into one table; the trees are not kept."""
+        self.roots_: np.ndarray | None = None
+        self.label_: np.ndarray | None = None
+        """Majority class of every node; read at the leaves."""
+        self.depth_: int = 0
         self.n_classes_: int = 0
         self.n_features_: int = 0
         self.feature_importances_: np.ndarray | None = None
@@ -67,7 +72,9 @@ class RandomForestClassifier:
             min_samples_leaf=self.config.min_samples_leaf,
             max_features=self._resolve_max_features(self.n_features_),
         )
-        self.trees_ = []
+        roots, tables, labels = [], [], []
+        n_nodes = 0
+        self.depth_ = 0
         importances = np.zeros(self.n_features_)
         n = len(X)
         for _ in range(self.config.n_trees):
@@ -82,21 +89,32 @@ class RandomForestClassifier:
             # A bootstrap sample can miss the largest label; pin the class
             # count so every tree's probability vectors align.
             tree.fit_with_classes(Xb, yb, self.n_classes_)
-            self.trees_.append(tree)
-            if tree.feature_importances_ is not None:
-                importances += tree.feature_importances_
+            feature, threshold, left, right = tree.nodes_
+            roots.append(n_nodes)
+            tables.append((feature, threshold, left + n_nodes, right + n_nodes))
+            labels.append(np.argmax(tree.value_, axis=1))
+            n_nodes += len(feature)
+            self.depth_ = max(self.depth_, tree.depth_)
+            importances += tree.feature_importances_
+        self.nodes_ = NodeTable(*map(np.concatenate, zip(*tables)))
+        self.roots_ = np.array(roots, dtype=np.intp)
+        self.label_ = np.concatenate(labels)
         total = importances.sum()
         self.feature_importances_ = importances / total if total > 0 else importances
         return self
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        if not self.trees_:
+        """Share of the trees voting for each class, per row of *X*."""
+        if self.nodes_ is None:
             raise RuntimeError("classifier is not fitted")
         X = np.asarray(X, dtype=float)
-        votes = np.zeros((len(X), self.n_classes_))
-        for tree in self.trees_:
-            votes[np.arange(len(X)), tree.predict(X)] += 1.0
-        return votes / len(self.trees_)
+        if X.ndim != 2 or X.shape[1] != self.n_features_:
+            raise ValueError("feature count mismatch")
+        leaves = self.nodes_.descend(self.roots_, self.depth_, X)
+        # One bincount over (row, label) pairs tallies all trees x rows.
+        cells = self.label_[leaves] + np.arange(len(X)) * self.n_classes_
+        votes = np.bincount(cells.ravel(), minlength=len(X) * self.n_classes_)
+        return votes.reshape(len(X), self.n_classes_) / len(self.roots_)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return np.argmax(self.predict_proba(X), axis=1)

@@ -9,7 +9,6 @@ majority-vote classification (§ III-D).
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Protocol, Sequence
 
@@ -24,6 +23,8 @@ __all__ = [
     "train_test_split",
     "HoldoutSummary",
     "repeated_holdout",
+    "MajorityVoter",
+    "fit_majority_vote",
     "majority_vote_predict",
 ]
 
@@ -170,6 +171,63 @@ def repeated_holdout(
     return HoldoutSummary.from_reports(reports)
 
 
+class MajorityVoter:
+    """§ III-D's vote in fitted form: *runs* trained models, one tally.
+
+    Built by :func:`fit_majority_vote`; ``predict`` trains nothing, so one
+    voter serves every prediction made from the same training set.
+    """
+
+    __slots__ = ("models", "_fitted_on")
+
+    def __init__(self, models: list[Classifier], fitted_on: tuple) -> None:
+        self.models = models
+        self._fitted_on = fitted_on
+
+    def fitted_on(self, factory, X_train, y_train, runs: int, seed: int) -> bool:
+        """Whether :func:`fit_majority_vote` built this voter from exactly
+        these arguments — the factory and the arrays compared by identity."""
+        factory0, X0, y0, *rest = self._fitted_on
+        return (
+            factory0 is factory and X0 is X_train and y0 is y_train
+            and rest == [runs, seed]
+        )
+
+    def predict(self, X_test: np.ndarray) -> np.ndarray:
+        """Majority label per row; ties go to the smallest tied label."""
+        all_runs = []
+        for model in self.models:
+            with span("classifier.predict"):
+                all_runs.append(model.predict(X_test))
+        stacked = np.stack(all_runs, axis=0)
+        n_rows = stacked.shape[1]
+        if n_rows == 0:
+            return np.empty(0, dtype=int)
+        n_labels = int(stacked.max()) + 1
+        cells = stacked + np.arange(n_rows) * n_labels
+        votes = np.bincount(cells.ravel(), minlength=n_rows * n_labels)
+        # argmax returns the first maximum: highest count, then smallest label.
+        return np.argmax(votes.reshape(n_rows, n_labels), axis=1)
+
+
+def fit_majority_vote(
+    factory: Callable[[int], Classifier],
+    X_train: np.ndarray,
+    y_train: np.ndarray,
+    runs: int = 10,
+    seed: int = 0,
+) -> MajorityVoter:
+    """Train the *runs* models of one § III-D vote, seeded from *seed*."""
+    rng = np.random.default_rng(seed)
+    models = []
+    for _ in range(runs):
+        model = factory(int(rng.integers(2**63)))
+        with span("classifier.fit"):
+            model.fit(X_train, y_train)
+        models.append(model)
+    return MajorityVoter(models, (factory, X_train, y_train, runs, seed))
+
+
 def majority_vote_predict(
     factory: Callable[[int], Classifier],
     X_train: np.ndarray,
@@ -180,20 +238,8 @@ def majority_vote_predict(
 ) -> np.ndarray:
     """§ III-D: run a stochastic classifier *runs* times, majority label wins.
 
-    Ties break toward the label that reached the winning count first,
-    which keeps the procedure deterministic for a fixed seed.
+    Ties break toward the smallest tied label, which keeps the procedure
+    deterministic for a fixed seed.  Callers that predict repeatedly from
+    one training set keep the :func:`fit_majority_vote` voter instead.
     """
-    rng = np.random.default_rng(seed)
-    all_runs = []
-    for _ in range(runs):
-        model = factory(int(rng.integers(2**63)))
-        with span("classifier.fit"):
-            model.fit(X_train, y_train)
-        with span("classifier.predict"):
-            all_runs.append(model.predict(X_test))
-    stacked = np.stack(all_runs, axis=0)
-    out = np.empty(stacked.shape[1], dtype=int)
-    for column in range(stacked.shape[1]):
-        votes = Counter(stacked[:, column].tolist())
-        out[column] = max(votes, key=lambda label: (votes[label], -label))
-    return out
+    return fit_majority_vote(factory, X_train, y_train, runs, seed).predict(X_test)

@@ -55,7 +55,12 @@ import numpy as np
 from repro.dnssim.message import QueryLogEntry
 from repro.logstore import EntryBlock
 from repro.ml.forest import ForestConfig, RandomForestClassifier
-from repro.ml.validation import Classifier, LabelEncoder, majority_vote_predict
+from repro.ml.validation import (
+    Classifier,
+    LabelEncoder,
+    MajorityVoter,
+    fit_majority_vote,
+)
 from repro.sensor.collection import DEDUP_WINDOW_SECONDS, ObservationWindow
 from repro.sensor.curation import LabeledSet
 from repro.sensor.directory import QuerierDirectory
@@ -298,6 +303,7 @@ class SensorEngine:
         self.encoder = LabelEncoder()
         self._train_X: np.ndarray | None = None
         self._train_y: np.ndarray | None = None
+        self._voter: MajorityVoter | None = None
         self._collector: StreamingCollector | None = None
         self._absorbed = StreamingStats()
         self._window_callbacks: list[Callable[[SensedWindow], None]] = []
@@ -986,6 +992,7 @@ class SensorEngine:
             X, y, _ = self.training_data(features, labeled)
             self._train_X = X
             self._train_y = y
+            self._voter = None
         return self
 
     @property
@@ -1022,7 +1029,33 @@ class SensorEngine:
         self._train_X = X
         self._train_y = y
         self.encoder = encoder
+        self._voter = None
         return self
+
+    def adopt_voter(self, voter: MajorityVoter) -> "SensorEngine":
+        """Hand over the fitted vote for the training set just adopted.
+
+        ``ModelManager`` fits it on its background thread so the thread
+        that closes windows never trains.  It is only ever used if it was
+        fitted on exactly this engine's ``(classifier_factory, X, y,
+        majority_runs, seed)``; anything else is refitted at the next
+        :meth:`classify`, so a wrong hand-over costs time, not verdicts.
+        """
+        self._voter = voter
+        return self
+
+    def _fitted_voter(self) -> MajorityVoter:
+        """The vote for the current model: fitted once, then reused."""
+        key = (
+            self.config.classifier_factory,
+            self._train_X,
+            self._train_y,
+            self.config.majority_runs,
+            self.config.seed,
+        )
+        if self._voter is None or not self._voter.fitted_on(*key):
+            self._voter = fit_majority_vote(*key)
+        return self._voter
 
     def classify(self, features: FeatureSet) -> list[ClassifiedOriginator]:
         """Majority-vote classification of every originator in *features*."""
@@ -1033,14 +1066,7 @@ class SensorEngine:
             return []
         with self._scope():
             with span("stage.classify") as sp:
-                votes = majority_vote_predict(
-                    self.config.classifier_factory,
-                    self._train_X,
-                    self._train_y,
-                    features.matrix,
-                    runs=self.config.majority_runs,
-                    seed=self.config.seed,
-                )
+                votes = self._fitted_voter().predict(features.matrix)
                 names = self.encoder.decode(votes)
                 verdicts = [
                     ClassifiedOriginator(

@@ -3,13 +3,14 @@
 § V's offline conclusion — retrain-daily tracks drift, auto-grow
 compounds label error — becomes an operational loop here.  After each
 closed window the :class:`ModelManager` assembles a candidate training
-set per its :class:`~repro.sensor.training.Strategy`, fits and
-smoke-validates the classifier on a single-thread executor (the event
-loop and ingest path never block on training), and the service then
-calls :meth:`apply_pending` *between* windows: the swap is a plain
-attribute install via ``engine.adopt_training`` while no window is in
-flight, so every event is classified by exactly one complete model —
-never a half-trained one — and none is dropped while models change.
+set per its :class:`~repro.sensor.training.Strategy` and fits that
+model version's § III-D voting ensemble on a single-thread executor (the
+event loop and ingest path never block on training), and the service
+then calls :meth:`apply_pending` *between* windows: the swap is a plain
+attribute install via ``engine.adopt_training`` + ``adopt_voter`` while
+no window is in flight, so every event is classified by exactly one
+complete, already-fitted model — window close only predicts — and none
+is dropped while models change.
 """
 
 from __future__ import annotations
@@ -20,7 +21,12 @@ from typing import Callable
 
 import numpy as np
 
-from repro.ml.validation import Classifier, LabelEncoder
+from repro.ml.validation import (
+    Classifier,
+    LabelEncoder,
+    MajorityVoter,
+    fit_majority_vote,
+)
 from repro.sensor.curation import LabeledSet
 from repro.sensor.engine import default_forest_factory
 from repro.sensor.training import Strategy, enough_to_train, labeled_rows
@@ -33,11 +39,13 @@ SWAP_OUTCOMES = ("none", "swapped", "rejected", "failed", "skipped")
 
 @dataclass(frozen=True, slots=True)
 class TrainedModel:
-    """A validated candidate ready to install: the classify-stage triple."""
+    """A fitted candidate ready to install: the classify-stage triple + vote."""
 
     X: np.ndarray
     y: np.ndarray
     encoder: LabelEncoder
+    voter: MajorityVoter
+    """Fitted on ``(X, y)`` with the manager's factory, runs and seed."""
     version: int
     source_end: float
     """End timestamp of the window whose features trained this model."""
@@ -56,6 +64,9 @@ class ModelManager:
         § V evaluates it, not because it is wise).
     strategy:
         ``None`` or ``TRAIN_ONCE`` disables retraining entirely.
+    factory, majority_runs, seed:
+        The serving engine's own three: it refits, on its own thread, a
+        vote handed over with any other.
     """
 
     def __init__(
@@ -66,6 +77,7 @@ class ModelManager:
         min_per_class: int = 3,
         min_total: int = 12,
         seed: int = 0,
+        majority_runs: int = 10,
     ) -> None:
         self.labeled = labeled
         self.strategy = strategy
@@ -73,6 +85,7 @@ class ModelManager:
         self.min_per_class = min_per_class
         self.min_total = min_total
         self.seed = seed
+        self.majority_runs = majority_runs
         self.version = 0
         self.fits_started = 0
         self.fits_skipped = 0
@@ -125,12 +138,13 @@ class ModelManager:
         X, y, _ = labeled_rows(features, labels, encoder)
         if not enough_to_train(y, self.min_per_class, self.min_total):
             return None
-        # Validation fit: the candidate must train and predict cleanly
-        # before it is allowed anywhere near the serving engine.
-        classifier = self.factory(self.seed + version)
-        classifier.fit(X, y)
-        classifier.predict(X[:1])
-        return TrainedModel(X=X, y=y, encoder=encoder, version=version, source_end=end)
+        # The candidate must train and predict cleanly before it is allowed
+        # anywhere near the serving engine, which predicts with this voter.
+        voter = fit_majority_vote(self.factory, X, y, self.majority_runs, self.seed)
+        voter.predict(X[:1])
+        return TrainedModel(
+            X=X, y=y, encoder=encoder, voter=voter, version=version, source_end=end
+        )
 
     # -- hand-over ------------------------------------------------------
 
@@ -152,6 +166,9 @@ class ModelManager:
         if model is None:
             return "rejected"
         engine.adopt_training(model.X, model.y, model.encoder)
+        adopt_voter = getattr(engine, "adopt_voter", None)
+        if adopt_voter is not None:  # stand-ins may hold only the triple
+            adopt_voter(model.voter)
         self.version = model.version
         return "swapped"
 

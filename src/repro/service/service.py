@@ -101,6 +101,8 @@ class BackscatterService:
         self._state_lock = threading.Lock()
         self._windows: deque[dict] = deque(maxlen=self.config.verdict_history)
         self._alerts: list[dict] = []
+        # (windows_total it was encoded at, the /verdicts response)
+        self._verdicts_cache: tuple[int, tuple[int, str, bytes]] | None = None
         self.windows_total = 0
         self.events_total = 0
         self.verdicts_total = 0
@@ -113,7 +115,7 @@ class BackscatterService:
         self._http = HttpServer(
             {
                 "/healthz": lambda: json_response(self.health()),
-                "/verdicts": lambda: json_response({"windows": self.windows()}),
+                "/verdicts": self._verdicts_response,
                 "/alerts": lambda: json_response({"alerts": self.alerts()}),
                 "/metrics": lambda: (
                     200,
@@ -165,6 +167,7 @@ class BackscatterService:
             min_per_class=self.config.retrain_min_per_class,
             min_total=self.config.retrain_min_total,
             seed=self.config.sensor.seed,
+            majority_runs=self.config.sensor.majority_runs,
         )
 
     @property
@@ -311,7 +314,6 @@ class BackscatterService:
         bounds = getattr(sensed, "window", sensed)
         start, end = float(bounds.start), float(bounds.end)
         verdicts = list(getattr(sensed, "verdicts", []))
-        self.windows_total += 1
         self.verdicts_total += len(verdicts)
         self._last_window_end = end
         record = {
@@ -329,6 +331,7 @@ class BackscatterService:
         }
         with self._state_lock:
             self._windows.append(record)
+            self.windows_total += 1
         self._count("repro_service_windows_total", 1,
                     help="Observation windows closed by the service.")
         if verdicts:
@@ -399,6 +402,16 @@ class BackscatterService:
         """Retained window records, oldest first (the ``/verdicts`` body)."""
         with self._state_lock:
             return list(self._windows)
+
+    def _verdicts_response(self) -> tuple[int, str, bytes]:
+        """The ``/verdicts`` response, encoded once per closed window."""
+        with self._state_lock:
+            cached = self._verdicts_cache
+            if cached is not None and cached[0] == self.windows_total:
+                return cached[1]
+            total, records = self.windows_total, list(self._windows)
+        self._verdicts_cache = (total, json_response({"windows": records}))
+        return self._verdicts_cache[1]
 
     def alerts(self) -> list[dict]:
         """Every surge alert raised so far (the ``/alerts`` body)."""

@@ -17,13 +17,17 @@ regardless of whether metrics are being collected — tracing degrades,
 accounting doesn't.
 
 The registry is *ambient*: :func:`install` sets a process-wide default,
-and :func:`use_registry` scopes one to a ``with`` block (the engine
-uses it to thread an explicitly-passed registry down through featurize
-and classify without widening every signature).
+and :func:`use_registry` scopes one to a ``with`` block on the calling
+thread (the engine uses it to thread an explicitly-passed registry down
+through featurize and classify without widening every signature).  The
+service runs its pump, its background model fit and its event loop on
+three threads, so the scope and the open-span stack are per thread: one
+thread entering or leaving a scope never changes what another records.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 from contextlib import contextmanager
 from typing import Iterator
@@ -41,46 +45,59 @@ __all__ = [
     "observe",
 ]
 
-_REGISTRY: MetricsRegistry | None = None
-#: Open-span name stack (per process; the sensing engine is single-
-#: threaded per deployment, matching the rest of the repo).
-_STACK: list[str] = []
+_DEFAULT: MetricsRegistry | None = None
+
+
+class _ThreadState(threading.local):
+    """What one thread has open: its scoped registry and its span stack."""
+
+    def __init__(self) -> None:
+        self.scoped: MetricsRegistry | None = None
+        self.stack: list[str] = []
+
+
+_LOCAL = _ThreadState()
 
 
 def install(registry: MetricsRegistry | None) -> MetricsRegistry | None:
-    """Set (or clear, with ``None``) the ambient registry; returns the old one."""
-    global _REGISTRY
-    previous = _REGISTRY
-    _REGISTRY = registry
+    """Set (or clear, with ``None``) the process-wide default registry.
+
+    Returns the previous default.  A thread inside a :func:`use_registry`
+    scope keeps seeing its scoped registry.
+    """
+    global _DEFAULT
+    previous = _DEFAULT
+    _DEFAULT = registry
     return previous
 
 
 def get_registry() -> MetricsRegistry | None:
-    """The ambient registry, or ``None`` when telemetry is off."""
-    return _REGISTRY
+    """The calling thread's ambient registry, or ``None`` when telemetry is off."""
+    scoped = _LOCAL.scoped
+    return _DEFAULT if scoped is None else scoped
 
 
 @contextmanager
 def use_registry(registry: MetricsRegistry | None) -> Iterator[MetricsRegistry | None]:
-    """Scope *registry* as the ambient one for a ``with`` block.
+    """Scope *registry* as this thread's ambient one for a ``with`` block.
 
     ``use_registry(None)`` is a no-op scope that keeps whatever is
-    currently installed — callers with an *optional* registry handle can
+    currently ambient — callers with an *optional* registry handle can
     wrap unconditionally.
     """
     if registry is None:
-        yield _REGISTRY
+        yield get_registry()
         return
-    previous = install(registry)
+    previous, _LOCAL.scoped = _LOCAL.scoped, registry
     try:
         yield registry
     finally:
-        install(previous)
+        _LOCAL.scoped = previous
 
 
 def current_span_path() -> str:
-    """Dotted path of the open spans (empty when none are open)."""
-    return ".".join(_STACK)
+    """Dotted path of this thread's open spans (empty when none are open)."""
+    return ".".join(_LOCAL.stack)
 
 
 class span:
@@ -100,7 +117,7 @@ class span:
     yes, window indexes no).
     """
 
-    __slots__ = ("name", "elapsed", "outcome", "parent", "_started")
+    __slots__ = ("name", "elapsed", "outcome", "parent", "_started", "_registry")
 
     def __init__(self, name: str) -> None:
         self.name = name
@@ -108,21 +125,27 @@ class span:
         self.outcome = "ok"
         self.parent = ""
         self._started = 0.0
+        self._registry: MetricsRegistry | None = None
 
     def __enter__(self) -> "span":
-        if _REGISTRY is not None:
-            self.parent = _STACK[-1] if _STACK else ""
-            _STACK.append(self.name)
+        # The registry seen here is the one recorded into at exit, so a
+        # span pushed on the stack is always popped again.
+        self._registry = get_registry()
+        if self._registry is not None:
+            stack = _LOCAL.stack
+            self.parent = stack[-1] if stack else ""
+            stack.append(self.name)
         self._started = time.perf_counter()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.elapsed = time.perf_counter() - self._started
-        registry = _REGISTRY
+        registry = self._registry
         if registry is None:
             return
-        if _STACK and _STACK[-1] == self.name:
-            _STACK.pop()
+        stack = _LOCAL.stack
+        if stack and stack[-1] == self.name:
+            stack.pop()
         self.outcome = "ok" if exc_type is None else "error"
         registry.histogram(
             "repro_span_seconds",
@@ -138,7 +161,7 @@ class span:
 
 def count(name: str, amount: float = 1.0, help: str = "", **labels: object) -> None:
     """Increment a counter on the ambient registry (no-op when none)."""
-    registry = _REGISTRY
+    registry = get_registry()
     if registry is None or amount == 0:
         return
     registry.counter(name, help, labels=tuple(labels)).inc(amount, **labels)
@@ -146,7 +169,7 @@ def count(name: str, amount: float = 1.0, help: str = "", **labels: object) -> N
 
 def set_gauge(name: str, value: float, help: str = "", **labels: object) -> None:
     """Set a gauge on the ambient registry (no-op when none)."""
-    registry = _REGISTRY
+    registry = get_registry()
     if registry is None:
         return
     registry.gauge(name, help, labels=tuple(labels)).set(value, **labels)
@@ -154,7 +177,7 @@ def set_gauge(name: str, value: float, help: str = "", **labels: object) -> None
 
 def observe(name: str, value: float, help: str = "", **labels: object) -> None:
     """Observe into a histogram on the ambient registry (no-op when none)."""
-    registry = _REGISTRY
+    registry = get_registry()
     if registry is None:
         return
     registry.histogram(name, help, labels=tuple(labels)).observe(value, **labels)

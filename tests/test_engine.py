@@ -345,6 +345,52 @@ class TestBatchAdapters:
         verdicts = streamer.classify(features)
         assert {v.originator for v in verdicts} == {1, 2}
 
+    def test_vote_is_fitted_once_per_model_and_key(self):
+        from repro.ml import DecisionTreeClassifier, fit_majority_vote
+        from repro.sensor.curation import LabeledSet
+
+        fits = []
+
+        def factory(seed):
+            fits.append(seed)
+            return DecisionTreeClassifier(rng=np.random.default_rng(seed))
+
+        directory = named_directory(range(100, 140))
+        entries = sorted(
+            [entry(float(q % 89), querier=q, originator=o) for o in (1, 2)
+             for q in range(100, 130)],
+            key=lambda e: e.timestamp,
+        )
+        config = SensorConfig(
+            window_seconds=100.0, min_queriers=5, majority_runs=3,
+            classifier_factory=factory,
+        )
+        engine = SensorEngine(directory, config)
+        features = engine.featurize(engine.collect(entries, 0.0, 100.0))
+        engine.fit(features, LabeledSet.from_pairs([(1, "scan"), (2, "spam")]))
+        assert fits == []  # fitting is lazy: nothing trains before a classify
+        first = engine.classify(features)
+        assert len(fits) == 3
+        assert engine.classify(features) == first
+        assert len(fits) == 3
+        # A new training set, even an equal one, is a new model.
+        X, y = engine._train_X.copy(), engine._train_y.copy()
+        engine.adopt_training(X, y, engine.encoder)
+        assert engine.classify(features) == first
+        assert len(fits) == 6
+        # A vote fitted for this exact model is used as handed over...
+        engine.adopt_training(X, y, engine.encoder)
+        engine.adopt_voter(fit_majority_vote(factory, X, y, 3, config.seed))
+        assert len(fits) == 9
+        assert engine.classify(features) == first
+        assert len(fits) == 9
+        # ...and one fitted for anything else is not.
+        engine.adopt_voter(fit_majority_vote(factory, X, y, 3, config.seed + 1))
+        assert len(fits) == 12
+        assert engine.classify(features) == first
+        assert len(fits) == 15
+        assert fits[12:] == fits[:3]
+
     def test_fit_from_unfitted_raises(self):
         with pytest.raises(RuntimeError):
             SensorEngine().fit_from(SensorEngine())

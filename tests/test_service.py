@@ -3,6 +3,7 @@ window hooks, and alert wiring."""
 
 from __future__ import annotations
 
+import json
 import struct
 import threading
 
@@ -463,3 +464,21 @@ class TestAlertWiring:
         engine.finish()
         assert len(seen) == 1  # both the service's hook and the extra ran
         assert service.windows_total == 1
+
+
+class TestVerdictsEncoding:
+    def test_body_is_compact_and_encoded_once_per_window(self):
+        service = BackscatterService(None, ServiceConfig(port=0, verdict_history=2))
+        status, ctype, empty = service._verdicts_response()
+        assert (status, ctype, empty) == (200, "application/json", b'{"windows":[]}\n')
+        assert service._verdicts_response()[2] is empty
+        for w in range(3):
+            service._handle_window(
+                _sensed(w * 100.0, (w + 1) * 100.0, [ClassifiedOriginator(7, "scan", 10)])
+            )
+            body = service._verdicts_response()[2]
+            assert service._verdicts_response()[2] is body
+            assert json.loads(body) == {"windows": service.windows()}
+            assert b"\n" not in body[:-1] and b": " not in body
+        # The history is full, so its length no longer moves; the count does.
+        assert [r["start"] for r in json.loads(body)["windows"]] == [100.0, 200.0]

@@ -13,6 +13,7 @@ from __future__ import annotations
 import asyncio
 import json
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from repro.datasets import write_directory
 from repro.datasets.dnstap import MAGIC, VERSION
 from repro.dnssim.message import QueryLogEntry
 from repro.logstore import EntryBlock, save_block
+from repro.ml import ForestConfig, RandomForestClassifier
 from repro.netmodel.addressing import ip_to_str
 from repro.netmodel.world import NameStatus
 from repro.sensor.curation import LabeledSet
@@ -355,3 +357,105 @@ class TestServeCli:
         assert code == 0
         assert "serving http on 127.0.0.1:" in out
         assert "served 3 windows" in out
+
+
+class _CountingFactory:
+    """A small forest per seed that logs which thread each ``fit`` ran on."""
+
+    def __init__(self) -> None:
+        self.fit_threads: list[str] = []
+        self.explode = False
+
+    def __call__(self, seed: int):
+        outer = self
+
+        class Counted(RandomForestClassifier):
+            def fit(self, X, y):
+                outer.fit_threads.append(threading.current_thread().name)
+                if outer.explode:
+                    raise RuntimeError("boom")
+                return super().fit(X, y)
+
+        return Counted(ForestConfig(n_trees=5), seed=seed)
+
+
+class TestPredictOnlyClose:
+    """Window close trains nothing once the first window has been classified."""
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_no_fit_on_the_pump_thread_across_hot_swaps(self, shards):
+        factory = _CountingFactory()
+        n_windows = 7
+        directory = directory_for(range(100, 140))
+        config = SensorConfig(
+            window_seconds=WIDTH, min_queriers=3, majority_runs=3,
+            classifier_factory=factory, seed=4,
+        )
+        block = EntryBlock.from_entries(synthetic_entries(windows=n_windows))
+        trainer = SensorEngine(directory, config)
+        first = trainer.process(block, 0.0, WIDTH, classify=False)[0]
+        labeled = LabeledSet.from_pairs(
+            (int(o), "scan" if int(o) % 2 else "dns")
+            for o in first.features.originators
+        )
+        trainer.fit(first.features, labeled)
+        sensed_windows = []
+        models = {0: (trainer._train_X, trainer._train_y, trainer.encoder)}
+
+        async def run():
+            service = BackscatterService(
+                directory,
+                ServiceConfig(
+                    port=0, sensor=config, shards=shards, shard_processes=False,
+                    retrain="daily", retrain_min_per_class=2, retrain_min_total=4,
+                    on_window=sensed_windows.append,
+                ),
+            )
+            service.fit_from(trainer, labeled=labeled)
+            merge = getattr(service.engine, "_merge_engine", service.engine)
+            adopt = merge.adopt_training
+
+            def recording_adopt(X, y, encoder):
+                models[service.manager.version + 1] = (X, y, encoder)
+                return adopt(X, y, encoder)
+
+            merge.adopt_training = recording_adopt
+            await service.start()
+            loop = asyncio.get_running_loop()
+            for w in range(n_windows):
+                lo = int(np.searchsorted(block.timestamps, w * WIDTH))
+                hi = int(np.searchsorted(block.timestamps, (w + 1) * WIDTH))
+                # Window 4 closes in step 5; the candidate it starts must fail.
+                factory.explode = w == 5
+                service.submit_block(block[lo:hi])
+                await service.drain()
+                await loop.run_in_executor(None, service.manager.wait_pending)
+                if w == 5:
+                    serving = (merge._voter, service.model_version)
+            # Step 6 met the failed candidate and kept serving version 4.
+            assert service.swap_outcomes == {"swapped": 4, "failed": 1}
+            assert (merge._voter, service.model_version) == serving
+            assert serving[0] is not None and serving[1] == 4
+            await service.stop()
+            return service
+
+        service = asyncio.run(run())
+        assert service.swap_outcomes == {"swapped": 5, "failed": 1}
+        # The first close fitted the initial model's vote where it ran;
+        # every later fit ran on the manager's thread.
+        pump = [t for t in factory.fit_threads if not t.startswith("model-fit")]
+        assert len(pump) == config.majority_runs
+        assert factory.fit_threads[: len(pump)] == pump
+        # One candidate per closed window: six fitted (the last one after the
+        # final close, never installed), the exploding one stopped at fit one.
+        assert len(factory.fit_threads) - len(pump) == 6 * config.majority_runs + 1
+        records = service.windows()
+        assert [r["model_version"] for r in records] == [0, 1, 2, 3, 4, 4, 5]
+        assert len(sensed_windows) == n_windows
+        for record, sensed in zip(records, sensed_windows):
+            fresh = SensorEngine(directory, config)
+            fresh.adopt_training(*models[record["model_version"]])
+            assert fresh.classify(sensed.features) == sensed.verdicts
+            assert [v["app_class"] for v in record["verdicts"]] == [
+                v.app_class for v in sensed.verdicts
+            ]

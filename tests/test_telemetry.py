@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 import time
 
 import numpy as np
@@ -279,6 +280,52 @@ class TestSpans:
         with use_registry(registry):
             count("c_total", 0)
         assert "c_total" not in registry
+
+    def test_threads_do_not_share_scope_or_span_stack(self):
+        # The service's model-fit thread opens spans while the pump thread
+        # enters and leaves use_registry; with one process-wide stack a
+        # span entered inside the other thread's scope and exited outside
+        # it was never popped.
+        mine, theirs = MetricsRegistry(), MetricsRegistry()
+        inside, release = threading.Event(), threading.Event()
+        seen = {}
+
+        def worker():
+            with use_registry(theirs):
+                with span("classifier.fit"):
+                    inside.set()
+                    assert release.wait(timeout=10.0)
+                    seen["open"] = current_span_path()
+            seen["closed"] = current_span_path()
+            seen["registry"] = get_registry()
+
+        thread = threading.Thread(target=worker)
+        with use_registry(mine):
+            thread.start()
+            assert inside.wait(timeout=10.0)
+            assert current_span_path() == ""
+            with span("stage.classify"):
+                assert current_span_path() == "stage.classify"
+        assert get_registry() is None
+        release.set()
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
+        assert seen == {"open": "classifier.fit", "closed": "", "registry": None}
+        assert current_span_path() == ""
+        assert theirs.get("repro_span_seconds").count(span="classifier.fit", parent="") == 1
+        assert mine.get("repro_span_seconds").count(span="stage.classify", parent="") == 1
+        assert mine.get("repro_span_seconds").count(span="classifier.fit", parent="") == 0
+
+    def test_span_opened_without_registry_stays_unrecorded(self):
+        registry = MetricsRegistry()
+        with span("early"):
+            install(registry)
+        assert current_span_path() == ""
+        with span("late"):
+            install(None)
+        assert current_span_path() == ""
+        assert registry.get("repro_span_seconds").count(span="late", parent="") == 1
+        assert registry.get("repro_span_seconds").count(span="early", parent="") == 0
 
     def test_noop_span_is_cheap(self):
         started = time.perf_counter()
