@@ -1,32 +1,23 @@
-"""Full-pipeline ingest benchmark: per-object vs. columnar block path.
+"""Ingest benchmark: the block path's window + select throughput.
 
 Builds a synthetic heavy-tailed backscatter log spanning several
-observation windows, replays it through the window + select stages of
+observation windows as one :class:`repro.logstore.EntryBlock` and
+replays it through the window + select stages of
 :class:`repro.sensor.engine.SensorEngine` four ways — {batch, stream} x
-{object, block} — with an optional sketch pre-stage variant of each,
-and writes ``BENCH_ingest.json``:
-
-* **object** — the historical path: a ``list[QueryLogEntry]`` fed
-  entry by entry (``windows`` / ``ingest_many``);
-* **block** — the array ingest plane: the same events as one
-  :class:`repro.logstore.EntryBlock` fed through the vectorized path
-  (``windows`` / ``ingest_block``), bit-identical by construction.
+{exact, sketch} — and writes ``BENCH_ingest.json``.  (There is one
+ingest path; ``QueryLogEntry`` input is converted to blocks in front of
+it, so there is nothing to compare the block path against.)
 
 Each mode reports events/s (best of ``--rounds`` timed runs); the
 batch modes also report peak incremental memory from a separate
-``tracemalloc`` run.  The emitted windows of every object/block pair
-are compared observation by observation and the report records the
-verdict.  Run from the repo root::
+``tracemalloc`` run.  Run from the repo root::
 
     PYTHONPATH=src python benchmarks/bench_ingest.py --quick
 
 ``--quick`` shrinks the workload so CI can smoke-test the harness in
-seconds; ``--assert-block-faster`` fails the run unless the block path
-meets the object path's throughput (batch and streaming, exact mode);
-``--assert-stream-sketch`` gates the vectorized streaming-sketch path
-(>= 0.5x the plain stream block throughput and >= 4x the pre-
-vectorization scalar baseline); any object/block divergence fails the
-run unconditionally.
+seconds; ``--assert-stream-sketch`` gates the vectorized
+streaming-sketch path (>= 0.5x the plain stream throughput and >= 4x
+the pre-vectorization scalar baseline).
 """
 
 from __future__ import annotations
@@ -40,7 +31,6 @@ import time
 import tracemalloc
 from pathlib import Path
 
-from repro.dnssim.message import QueryLogEntry
 from repro.logstore import EntryBlock
 from repro.sensor.engine import SensorConfig, SensorEngine
 
@@ -55,9 +45,7 @@ SPAN = WINDOW_SECONDS * N_WINDOWS
 SCALAR_STREAM_SKETCH_BASELINE = 23_327.8
 
 
-def synthetic_log(
-    events_target: int, min_queriers: int, seed: int
-) -> list[QueryLogEntry]:
+def synthetic_log(events_target: int, min_queriers: int, seed: int) -> EntryBlock:
     """A time-ordered, tail-dominated backscatter day spanning 4 windows.
 
     The same regime as ``bench_sketch``: a small head of loud
@@ -89,7 +77,8 @@ def synthetic_log(
                     )
                 )
     events.sort()
-    return [QueryLogEntry(timestamp=t, querier=q, originator=o) for t, q, o in events]
+    timestamps, queriers, originators = zip(*events)
+    return EntryBlock.from_arrays(timestamps, queriers, originators)
 
 
 def config_for(min_queriers: int, sketch: bool, capacity: int) -> SensorConfig:
@@ -101,39 +90,19 @@ def config_for(min_queriers: int, sketch: bool, capacity: int) -> SensorConfig:
     )
 
 
-def run_batch(config: SensorConfig, payload) -> list:
+def run_batch(config: SensorConfig, block: EntryBlock) -> list:
     engine = SensorEngine(config=config)
-    return engine.windows(payload, 0.0, SPAN)
+    return engine.windows(block, 0.0, SPAN)
 
 
-def run_stream(config: SensorConfig, payload, chunk: int) -> list:
+def run_stream(config: SensorConfig, block: EntryBlock, chunk: int) -> list:
     engine = SensorEngine(config=config)
     windows = []
-    if isinstance(payload, EntryBlock):
-        for offset in range(0, len(payload), chunk):
-            engine.ingest_block(payload[offset : offset + chunk])
-            windows.extend(s.window for s in engine.poll(classify=False))
-    else:
-        for offset in range(0, len(payload), chunk):
-            engine.ingest_many(payload[offset : offset + chunk])
-            windows.extend(s.window for s in engine.poll(classify=False))
+    for offset in range(0, len(block), chunk):
+        engine.ingest_block(block[offset : offset + chunk])
+        windows.extend(s.window for s in engine.poll(classify=False))
     windows.extend(s.window for s in engine.finish(classify=False))
     return windows
-
-
-def window_signature(windows: list) -> list:
-    """Everything downstream stages see, in emission order."""
-    return [
-        (
-            window.start,
-            window.end,
-            [
-                (originator, tuple(obs.timestamps), tuple(obs.queriers))
-                for originator, obs in window.observations.items()
-            ],
-        )
-        for window in windows
-    ]
 
 
 def timed(rounds: int, runner, *args):
@@ -170,17 +139,10 @@ def main(argv: list[str] | None = None) -> int:
         "--quick", action="store_true", help="CI smoke scale (small log, 2 rounds)"
     )
     parser.add_argument(
-        "--assert-block-faster",
-        action="store_true",
-        help="fail unless the block path meets the object path's "
-        "throughput (batch and streaming, exact mode)",
-    )
-    parser.add_argument(
         "--assert-stream-sketch",
         action="store_true",
-        help="fail unless the vectorized stream_sketch block path reaches "
-        ">=0.5x the plain stream block throughput and >=4x the "
-        "pre-vectorization scalar baseline",
+        help="fail unless stream_sketch reaches >=0.5x the plain stream "
+        "throughput and >=4x the pre-vectorization scalar baseline",
     )
     parser.add_argument(
         "-o", "--output", default="BENCH_ingest.json", help="output JSON path"
@@ -191,104 +153,58 @@ def main(argv: list[str] | None = None) -> int:
         args.rounds = min(args.rounds, 2)
 
     print(f"generating ~{args.events:,} events …", flush=True)
-    entries = synthetic_log(args.events, args.min_queriers, args.seed)
-    t0 = time.perf_counter()
-    block = EntryBlock.from_entries(entries)
-    build_seconds = time.perf_counter() - t0
-    print(
-        f"log: {len(entries):,} events, block {block.nbytes / 1e6:.1f} MB "
-        f"(built in {build_seconds:.3f}s)",
-        flush=True,
-    )
-
-    exact = config_for(args.min_queriers, False, len(entries))
-    sketch = config_for(args.min_queriers, True, len(entries))
-
-    def mode_report(seconds: float, peak: int | None = None) -> dict:
-        report = {
-            "seconds": round(seconds, 6),
-            "events_per_s": round(len(entries) / seconds, 1),
-        }
-        if peak is not None:
-            report["peak_memory_mb"] = round(peak / 1e6, 3)
-        return report
+    block = synthetic_log(args.events, args.min_queriers, args.seed)
+    print(f"log: {len(block):,} events, block {block.nbytes / 1e6:.1f} MB", flush=True)
 
     report: dict = {
         "benchmark": "ingest",
-        "events": len(entries),
+        "events": len(block),
         "windows": N_WINDOWS,
         "min_queriers": args.min_queriers,
         "rounds": args.rounds,
         "chunk": args.chunk,
         "cpu_count": os.cpu_count(),
-        "block_build_seconds": round(build_seconds, 6),
         "block_nbytes": block.nbytes,
     }
     failures: list[str] = []
-    speedups: dict[str, float] = {}
 
-    for mode, sketched, config in (
-        ("batch", False, exact),
-        ("batch_sketch", True, sketch),
-        ("stream", False, exact),
-        ("stream_sketch", True, sketch),
-    ):
-        streaming = mode.startswith("stream")
-        if streaming:
-            object_seconds, object_windows = timed(
-                args.rounds, run_stream, config, entries, args.chunk
-            )
-            block_seconds, block_windows = timed(
-                args.rounds, run_stream, config, block, args.chunk
-            )
-            object_peak = block_peak = None
+    for mode in ("batch", "batch_sketch", "stream", "stream_sketch"):
+        config = config_for(args.min_queriers, mode.endswith("sketch"), len(block))
+        if mode.startswith("stream"):
+            seconds, windows = timed(args.rounds, run_stream, config, block, args.chunk)
+            peak = None
         else:
-            object_seconds, object_windows = timed(
-                args.rounds, run_batch, config, entries
-            )
-            block_seconds, block_windows = timed(args.rounds, run_batch, config, block)
-            object_peak = peak_memory(run_batch, config, entries)
-            block_peak = peak_memory(run_batch, config, block)
-        identical = window_signature(object_windows) == window_signature(block_windows)
-        speedup = round(object_seconds / block_seconds, 3)
+            seconds, windows = timed(args.rounds, run_batch, config, block)
+            peak = peak_memory(run_batch, config, block)
         report[mode] = {
-            "object": mode_report(object_seconds, object_peak),
-            "block": mode_report(block_seconds, block_peak),
-            "speedup": speedup,
-            "windows_emitted": len(block_windows),
-            "identical": identical,
+            "seconds": round(seconds, 6),
+            "events_per_s": round(len(block) / seconds, 1),
+            "windows_emitted": len(windows),
         }
-        speedups[mode] = speedup
+        if peak is not None:
+            report[mode]["peak_memory_mb"] = round(peak / 1e6, 3)
         print(
-            f"  {mode:>13}: object {len(entries) / object_seconds:>11,.0f} ev/s   "
-            f"block {len(entries) / block_seconds:>11,.0f} ev/s   "
-            f"{speedup:>6.2f}x  {'identical' if identical else 'DIVERGED'}",
+            f"  {mode:>13}: {len(block) / seconds:>11,.0f} ev/s"
+            + (f"   peak {peak / 1e6:6.1f} MB" if peak is not None else ""),
             flush=True,
         )
-        if not identical:
-            failures.append(f"{mode}: object and block windows diverge")
+        if len(windows) != N_WINDOWS:
+            failures.append(f"{mode}: emitted {len(windows)} windows, not {N_WINDOWS}")
 
     Path(args.output).write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {args.output}")
 
-    if args.assert_block_faster:
-        for mode in ("batch", "stream"):
-            if report[mode]["speedup"] < 1.0:
-                failures.append(
-                    f"{mode}: block path is slower than the object path "
-                    f"(speedup {report[mode]['speedup']:.3f}x)"
-                )
     if args.assert_stream_sketch:
-        sketched = report["stream_sketch"]["block"]["events_per_s"]
-        plain = report["stream"]["block"]["events_per_s"]
+        sketched = report["stream_sketch"]["events_per_s"]
+        plain = report["stream"]["events_per_s"]
         if sketched < 0.5 * plain:
             failures.append(
-                "stream_sketch: block path below half the plain stream "
+                "stream_sketch: below half the plain stream "
                 f"throughput ({sketched:,.0f} vs {plain:,.0f} events/s)"
             )
         if sketched < 4.0 * SCALAR_STREAM_SKETCH_BASELINE:
             failures.append(
-                "stream_sketch: block path below 4x the pre-vectorization "
+                "stream_sketch: below 4x the pre-vectorization "
                 f"scalar baseline ({sketched:,.0f} vs "
                 f"{SCALAR_STREAM_SKETCH_BASELINE:,.0f} events/s)"
             )

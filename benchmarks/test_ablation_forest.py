@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from repro.experiments.common import format_rows, labeled_features, windowed
 from repro.ml import ForestConfig, RandomForestClassifier, repeated_holdout
-from repro.sensor.pipeline import default_forest_factory
+from repro.sensor.engine import default_forest_factory
 from repro.sensor.training import Strategy, evaluate_strategy
 
 REPEATS = 8

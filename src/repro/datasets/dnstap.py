@@ -50,37 +50,13 @@ def write_frames(path: str | Path, entries: Iterable[QueryLogEntry]) -> int:
 
 
 def iter_frames(path: str | Path) -> Iterator[QueryLogEntry]:
-    """Stream entries from a framed binary log, validating as it reads."""
-    with open(path, "rb") as handle:
-        header = handle.read(_HEADER.size)
-        if len(header) < _HEADER.size:
-            raise ValueError(f"{path}: truncated header ({len(header)} bytes)")
-        magic, version = _HEADER.unpack(header)
-        if magic != MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r} (expected {MAGIC!r})")
-        if version != VERSION:
-            raise ValueError(f"{path}: unsupported version {version} (expected {VERSION})")
-        while True:
-            prefix = handle.read(_LENGTH.size)
-            if not prefix:
-                return
-            if len(prefix) < _LENGTH.size:
-                raise ValueError(f"{path}: truncated frame length prefix")
-            (length,) = _LENGTH.unpack(prefix)
-            if length != _FRAME.size:
-                raise ValueError(
-                    f"{path}: invalid frame length {length} (expected {_FRAME.size})"
-                )
-            body = handle.read(length)
-            if len(body) < length:
-                raise ValueError(f"{path}: truncated frame body ({len(body)}/{length} bytes)")
-            timestamp, querier, originator = _FRAME.unpack(body)
-            yield QueryLogEntry(timestamp=timestamp, querier=querier, originator=originator)
+    """Entries of a framed binary log, validated before the first is yielded."""
+    return iter(read_frames_block(path))
 
 
 def read_frames(path: str | Path) -> list[QueryLogEntry]:
     """All entries of a framed binary log as a list."""
-    return list(iter_frames(path))
+    return read_frames_block(path).to_entries()
 
 
 # Every frame is fixed-size (2-byte length prefix + 16-byte body), so a
@@ -102,12 +78,10 @@ def _record_dtype():
 
 
 def read_frames_block(path: str | Path):
-    """Decode a framed binary log straight into a columnar block.
+    """Decode a framed binary log into a columnar block.
 
-    Vectorized counterpart of :func:`read_frames`: the frame stream is
-    validated and decoded with one ``np.frombuffer`` view instead of a
-    per-frame ``struct.unpack`` loop, and the result is a
-    :class:`~repro.logstore.EntryBlock`.
+    The frame stream is validated and decoded with one ``np.frombuffer``
+    view; the result is a :class:`~repro.logstore.EntryBlock`.
     """
     import numpy as np
 

@@ -52,38 +52,14 @@ def write_log(path: str | Path, entries: Iterable[QueryLogEntry]) -> int:
 
 
 def read_log(path: str | Path) -> list[QueryLogEntry]:
-    """Parse a text log; raises ``ValueError`` on malformed lines."""
-    entries: list[QueryLogEntry] = []
-    with open(path, "r", encoding="ascii") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split()
-            if len(fields) != 3:
-                raise ValueError(
-                    f"{path}:{lineno}: expected 'timestamp querier qname', got {line!r}"
-                )
-            timestamp, querier, qname = fields
-            try:
-                entries.append(
-                    QueryLogEntry(
-                        timestamp=float(timestamp),
-                        querier=str_to_ip(querier),
-                        originator=reverse_name_to_ip(qname),
-                    )
-                )
-            except ValueError as error:
-                raise ValueError(f"{path}:{lineno}: {error}") from error
-    return entries
+    """Parse a text log into entry objects (:func:`read_log_block`, converted)."""
+    return read_log_block(path).to_entries()
 
 
 def read_log_block(path: str | Path):
-    """Parse a text log straight into a columnar block.
+    """Parse a text log into a columnar :class:`~repro.logstore.EntryBlock`.
 
-    Same validation as :func:`read_log`, but the parsed fields land in a
-    :class:`~repro.logstore.EntryBlock` without materializing a list of
-    entry objects — the native input of the array ingest plane.
+    Raises ``ValueError`` (``path:lineno: …``) on the first malformed line.
     """
     import numpy as np
 

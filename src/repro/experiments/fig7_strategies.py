@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.experiments.common import windowed
-from repro.sensor.pipeline import default_forest_factory
+from repro.sensor.engine import default_forest_factory
 from repro.sensor.training import Strategy, TimeSeriesEvaluation, evaluate_strategy
 
 __all__ = ["Fig7Result", "run", "format_table"]

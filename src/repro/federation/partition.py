@@ -1,4 +1,4 @@
-"""Originator partitioning and the driver-owned reorder front.
+"""Originator partitioning behind the driver-owned reorder front.
 
 The federation's correctness argument starts here:
 
@@ -7,14 +7,13 @@ The federation's correctness argument starts here:
   decision, HLL register, and observation — lands on exactly one shard.
   A shard's windows are the single engine's windows restricted to its
   originators.
-* **Reordering is resolved once, at the driver.**  :class:`ReorderFront`
-  replicates :meth:`repro.sensor.streaming.StreamingCollector.ingest_arrays`'s
-  accept/release semantics exactly (same late mask, same running-max
-  high water, same ``(timestamp, arrival seq)`` release order), so the
-  stream each shard receives is globally time-ordered and shard
-  collectors can run with ``reorder_slack=0``.  Lateness and reorder
-  accounting therefore happen exactly once, with the same counts a
-  single collector would produce.
+* **Reordering is resolved once, at the driver.**  The driver owns a
+  :class:`~repro.sensor.reorder.ReorderFront` — the same class a single
+  :class:`~repro.sensor.streaming.StreamingCollector` owns, re-exported
+  here — so the stream each shard receives is globally time-ordered and
+  shard collectors run with ``reorder_slack=0``.  Lateness and reorder
+  accounting therefore happen exactly once, with the counts a single
+  collector produces.
 * **Row order is tracked at the driver.**  The single engine's feature
   rows follow first-kept-appearance order of its observation dict; the
   first event of an originator in a window is always kept (a fresh pair
@@ -25,10 +24,9 @@ The federation's correctness argument starts here:
 
 from __future__ import annotations
 
-import heapq
-
 import numpy as np
 
+from repro.sensor.reorder import ReorderFront
 from repro.sketch.hashing import mix64_array
 
 __all__ = ["shard_of", "partition_arrays", "note_first_appearance", "ReorderFront"]
@@ -88,126 +86,3 @@ def note_first_appearance(
         for originator in seen[np.argsort(first)].tolist():
             if originator not in ranks:
                 ranks[originator] = len(ranks)
-
-
-class ReorderFront:
-    """Global accept/release front over incoming event arrays.
-
-    Mirrors the streaming collector's ingest semantics: entries below
-    ``origin`` or more than ``reorder_slack`` behind the newest-seen
-    timestamp are dropped (counted), in-slack disorder is buffered in a
-    ``(timestamp, arrival seq)`` heap, and :meth:`push` returns the
-    entries the watermark has passed, in the exact order a single
-    collector would process them.
-    """
-
-    def __init__(self, origin: float = 0.0, reorder_slack: float = 2.0) -> None:
-        if reorder_slack < 0:
-            raise ValueError("reorder_slack must be non-negative")
-        self.origin = origin
-        self.reorder_slack = reorder_slack
-        self.ingested = 0
-        self.late_dropped = 0
-        self.reordered = 0
-        self._high_water = float("-inf")
-        self._pending: list[tuple[float, int, int, int]] = []
-        self._seq = 0
-
-    @property
-    def high_water(self) -> float:
-        return self._high_water
-
-    @property
-    def watermark(self) -> float:
-        return self._high_water - self.reorder_slack
-
-    @property
-    def pending_entries(self) -> int:
-        return len(self._pending)
-
-    def push(
-        self,
-        timestamps: np.ndarray,
-        queriers: np.ndarray,
-        originators: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Accept a chunk; return everything now releasable, time-ordered."""
-        ts = np.ascontiguousarray(timestamps, dtype=np.float64)
-        qs = np.ascontiguousarray(queriers, dtype=np.int64)
-        os_ = np.ascontiguousarray(originators, dtype=np.int64)
-        n = int(ts.size)
-        self.ingested += n
-        if n == 0:
-            return self._drain(self.watermark)
-        prev_high = self._high_water
-        running = np.maximum.accumulate(ts)
-        high_before = np.empty(n, dtype=np.float64)
-        high_before[0] = prev_high
-        if n > 1:
-            np.maximum(running[:-1], prev_high, out=high_before[1:])
-        late = ts < self.origin
-        late |= ts < high_before - self.reorder_slack
-        n_late = int(np.count_nonzero(late))
-        if n_late:
-            self.late_dropped += n_late
-            if n_late == n:
-                return self._drain(self.watermark)
-            accepted = ~late
-            ts = ts[accepted]
-            qs = qs[accepted]
-            os_ = os_[accepted]
-            high_before = high_before[accepted]
-        self.reordered += int(np.count_nonzero(ts < high_before))
-        self._high_water = max(prev_high, float(running[-1]))
-        watermark = self.watermark
-        if self.reorder_slack == 0 and not self._pending:
-            # Acceptance with zero slack implies non-decreasing order.
-            return ts, qs, os_
-        seqs = np.arange(self._seq, self._seq + ts.size, dtype=np.int64)
-        self._seq += int(ts.size)
-        releasable = ts <= watermark
-        for i in np.flatnonzero(~releasable).tolist():
-            heapq.heappush(
-                self._pending,
-                (float(ts[i]), int(seqs[i]), int(qs[i]), int(os_[i])),
-            )
-        pool_ts = ts[releasable]
-        pool_seq = seqs[releasable]
-        pool_q = qs[releasable]
-        pool_o = os_[releasable]
-        if self._pending and self._pending[0][0] <= watermark:
-            drained = self._pop_through(watermark)
-            pool_ts = np.concatenate([drained[0], pool_ts])
-            pool_seq = np.concatenate([drained[1], pool_seq])
-            pool_q = np.concatenate([drained[2], pool_q])
-            pool_o = np.concatenate([drained[3], pool_o])
-        if pool_ts.size == 0:
-            return pool_ts, pool_q, pool_o
-        order = np.lexsort((pool_seq, pool_ts))
-        return pool_ts[order], pool_q[order], pool_o[order]
-
-    def flush(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Release everything still buffered (end of stream)."""
-        return self._drain(float("inf"))
-
-    def _pop_through(
-        self, watermark: float
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        drained = []
-        while self._pending and self._pending[0][0] <= watermark:
-            drained.append(heapq.heappop(self._pending))
-        return (
-            np.array([d[0] for d in drained], dtype=np.float64),
-            np.array([d[1] for d in drained], dtype=np.int64),
-            np.array([d[2] for d in drained], dtype=np.int64),
-            np.array([d[3] for d in drained], dtype=np.int64),
-        )
-
-    def _drain(self, watermark: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if not self._pending or self._pending[0][0] > watermark:
-            empty_f = np.empty(0, dtype=np.float64)
-            empty_i = np.empty(0, dtype=np.int64)
-            return empty_f, empty_i, empty_i.copy()
-        ts, seq, qs, os_ = self._pop_through(watermark)
-        order = np.lexsort((seq, ts))
-        return ts[order], qs[order], os_[order]

@@ -29,10 +29,12 @@ from repro.sensor.directory import (
 )
 from repro.sensor.engine import (
     STAGE_NAMES,
+    ClassifiedOriginator,
     SensedWindow,
     SensorConfig,
     SensorEngine,
     StageStats,
+    default_forest_factory,
 )
 from repro.sensor.dynamic import (
     DYNAMIC_FEATURE_NAMES,
@@ -55,11 +57,7 @@ from repro.sensor.keywords import (
     classify_name,
     classify_querier,
 )
-from repro.sensor.pipeline import (
-    BackscatterPipeline,
-    ClassifiedOriginator,
-    default_forest_factory,
-)
+from repro.sensor.reorder import ReorderFront
 from repro.sensor.report import WindowReport, build_report, render_report
 from repro.sensor.selection import (
     ANALYZABLE_THRESHOLD,
@@ -114,7 +112,6 @@ __all__ = [
     "SUFFIX_CATEGORIES",
     "classify_name",
     "classify_querier",
-    "BackscatterPipeline",
     "ClassifiedOriginator",
     "default_forest_factory",
     "STAGE_NAMES",
@@ -129,6 +126,7 @@ __all__ = [
     "analyzable",
     "rank_by_footprint",
     "top_n",
+    "ReorderFront",
     "StreamingCollector",
     "StreamingStats",
     "STATIC_FEATURE_NAMES",

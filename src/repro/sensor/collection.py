@@ -42,6 +42,10 @@ def dedup_entries(
     append-ordered).  The first query of each burst is kept; a repeat is
     dropped when it falls strictly within *window* of the last *kept*
     query for that pair, matching rate-limiting semantics.
+
+    The scalar statement of § III-A's rule: the **oracle** the property
+    tests hold :func:`repro.logstore.dedup_mask` and the collector to.
+    Nothing in the sensing path calls it.
     """
     if window < 0:
         raise ValueError("window must be non-negative")
@@ -79,12 +83,6 @@ class OriginatorObservation:
     def add(self, timestamp: float, querier: int) -> None:
         self.timestamps.append(timestamp)
         self.queriers.append(querier)
-        self._unique = None
-
-    def extend_arrays(self, timestamps: "np.ndarray", queriers: "np.ndarray") -> None:
-        """Bulk append from parallel column arrays (block ingest path)."""
-        self.timestamps.extend(timestamps.tolist())
-        self.queriers.extend(queriers.tolist())
         self._unique = None
 
     def extend_lists(self, timestamps: list[float], queriers: list[int]) -> None:
@@ -154,7 +152,7 @@ def extend_window_arrays(
     """Append deduped columns into *window*, grouped by originator.
 
     Observations are created in **first-kept-appearance order** — the
-    same ``dict`` insertion order the per-entry path produces — because
+    ``dict`` insertion order of a one-event-at-a-time pass — because
     downstream feature-matrix row order follows it.  A stable argsort by
     originator makes each group's first sorted element its earliest
     appearance, so ordering groups by that original index reproduces the
@@ -199,17 +197,17 @@ def collect_window(
 
     In-range entries must be in non-decreasing timestamp order; order is
     validated **before** any state is built, so a failed call leaves no
-    partial window behind.  The dedup semantics are the canonical ones
-    shared with :class:`repro.sensor.streaming.StreamingCollector`, via
-    :func:`repro.logstore.dedup_mask` (bit-identical to
-    :func:`dedup_entries`, pinned by property tests).
+    partial window behind.  Calls :func:`repro.logstore.dedup_mask`
+    directly — the same dedup
+    :class:`repro.sensor.streaming.StreamingCollector` applies per
+    window, checked against :func:`dedup_entries` by property tests.
     """
     from repro.logstore import EntryBlock, dedup_mask
 
     if end <= start:
         raise ValueError("end must be after start")
     if dedup_window < 0:
-        raise ValueError("dedup_window and reorder_slack must be non-negative")
+        raise ValueError("dedup_window must be non-negative")
     block = entries if isinstance(entries, EntryBlock) else EntryBlock.from_entries(entries)
     ts = block.timestamps
     in_range = (ts >= start) & (ts < end)

@@ -14,7 +14,8 @@ ingest     § III-A — accept (timestamp, querier, originator) tuples,
            validate ordering / drop strictly-late arrivals
 window     § III-A/B — 30 s per-(querier, originator) dedup + grouping
            into observation intervals (:class:`StreamingCollector` is
-           the single implementation; batch calls adapt onto it)
+           the single implementation, fed :class:`EntryBlock` chunks;
+           batch calls and ``QueryLogEntry`` input convert onto it)
 select     § III-B — keep analyzable originators (>= ``min_queriers``
            unique queriers)
 featurize  § III-C/D — the 14 static + 8 dynamic features per selected
@@ -47,7 +48,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from itertools import compress
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -438,7 +438,10 @@ class SensorEngine:
         )
 
     def ingest(self, entry: QueryLogEntry) -> None:
-        """Feed one live entry (streaming path).
+        """Feed one live entry (streaming path), as a one-event block.
+
+        A convenience for examples and tests, not a feed path: see
+        :meth:`~repro.sensor.streaming.StreamingCollector.ingest`.
 
         Feed time — validation, dedup, and windowing work triggered by
         the entry's arrival — is ingest-stage time; window-stage time is
@@ -450,19 +453,13 @@ class SensorEngine:
         self.stats["ingest"].seconds += sp.elapsed
 
     def ingest_many(self, entries: Iterable[QueryLogEntry]) -> None:
-        """Feed a chunk of live entries (streaming path)."""
+        """Feed a chunk of live entries (streaming path), as blocks."""
         with self._scope(), span("stage.ingest") as sp:
             self.collector.ingest_many(entries)
         self.stats["ingest"].seconds += sp.elapsed
 
     def ingest_block(self, block: EntryBlock) -> None:
-        """Feed one columnar block of live entries (streaming path).
-
-        The vectorized counterpart of :meth:`ingest_many`: the block's
-        columns run through the collector's array core
-        (:meth:`~repro.sensor.streaming.StreamingCollector.ingest_block`),
-        with identical semantics to feeding the same entries one by one.
-        """
+        """Feed one columnar block of live entries (streaming path)."""
         with self._scope():
             with span("stage.ingest") as sp:
                 self.collector.ingest_block(block)
@@ -559,9 +556,9 @@ class SensorEngine:
     def _block_in_range(block: EntryBlock, start: float, end: float) -> EntryBlock:
         """In-range sub-block, order-validated before any state is built.
 
-        Mirrors the object path's contract: only the entries inside
-        ``[start, end)`` must be time-ordered, and a failed validation
-        raises before the collector sees anything.
+        Only the entries inside ``[start, end)`` must be time-ordered,
+        and a failed validation raises before the collector sees
+        anything.
         """
         sub = block.slice_time(start, end)
         if not sub.is_sorted:
@@ -584,272 +581,54 @@ class SensorEngine:
         analyses expect.  Out-of-order input raises (batch logs are
         append-ordered); use the streaming path for live reordering.
 
-        *entries* may be an :class:`~repro.logstore.EntryBlock`, in
-        which case the whole pipeline runs as array math (searchsorted
-        range slicing, vectorized dedup, observations extended from
-        column slices) and produces bit-identical windows to the
-        per-object path.
+        *entries* is an :class:`~repro.logstore.EntryBlock`; anything
+        else is converted to one first.  The in-range slice is fed to a
+        fresh collector in bounded chunks.  With ``sketch_enabled`` the
+        approximate gate (:meth:`_sketch_gate`) runs first and only
+        survivor events reach the collector, so survivor observations —
+        and their feature rows — are bit-identical to the exact run.
         """
         if end <= start:
             raise ValueError("end must be after start")
         width = self.config.window_seconds if window_seconds is None else window_seconds
         if width <= 0:
             raise ValueError("window_seconds must be positive")
-        if self.config.sketch_enabled:
-            return self._windows_sketch(entries, start, end, width)
+        sketch = self.config.sketch_enabled
         collector = StreamingCollector(
             window_seconds=width,
             origin=start,
             dedup_window=self.config.dedup_window,
             reorder_slack=0.0,
         )
+
+        def feed(block: EntryBlock) -> None:
+            # Bounded chunks keep the collector's list temporaries off
+            # the log-sized scale (chunk invariance makes it free).
+            for chunk in block.iter_chunks():
+                collector.ingest_block(chunk)
+
         with self._scope():
             # Feeding entries (validation + dedup as they arrive) is
             # ingest time; closing and assembling windows is window
-            # time — each wall second lands in exactly one stage.
+            # time — each wall second lands in exactly one stage.  Sketch
+            # mode feeds survivors only, after the gate, as window time.
             with span("stage.ingest") as ingest_span:
-                if isinstance(entries, EntryBlock):
-                    ingested = len(entries)
-                    sub = self._block_in_range(entries, start, end)
-                    dropped = ingested - len(sub)
-                    collector.ingest_block(sub)
-                    self._emit_block_metrics(sub, path="batch")
-                else:
-                    ingested = dropped = 0
-                    previous_ts = float("-inf")
-                    for entry in entries:
-                        ingested += 1
-                        if not start <= entry.timestamp < end:
-                            dropped += 1
-                            continue
-                        if entry.timestamp < previous_ts:
-                            raise ValueError("entries are not time-ordered")
-                        previous_ts = entry.timestamp
-                        collector.ingest(entry)
-            with span("stage.window") as window_span:
-                emitted = {
-                    self._index_of(window.start, start, width): window
-                    for window in collector.flush()
-                }
-                windows: list[ObservationWindow] = []
-                index = 0
-                window_start = start
-                while window_start < end:
-                    window_end = min(window_start + width, end)
-                    window = emitted.get(
-                        index, ObservationWindow(start=window_start, end=window_end)
-                    )
-                    window.end = window_end
-                    windows.append(window)
-                    index += 1
-                    window_start = window_start + width
-            accepted = ingested - dropped
-            self._record_stage(
-                "ingest",
-                items_in=ingested,
-                items_out=accepted,
-                dropped=dropped,
-                seconds=ingest_span.elapsed,
-            )
-            self._record_stage(
-                "window",
-                items_in=accepted,
-                items_out=len(windows),
-                dropped=collector.stats.deduplicated,
-                seconds=window_span.elapsed,
-            )
-        return windows
-
-    def _windows_sketch(
-        self,
-        entries: Sequence[QueryLogEntry] | Iterable[QueryLogEntry],
-        start: float,
-        end: float,
-        width: float,
-    ) -> list[ObservationWindow]:
-        """Sketch-mode :meth:`windows`: approximate gate, then exact pass.
-
-        Pass 1 streams every in-range event through one window-scoped
-        :class:`~repro.sketch.prestage.SketchPreStage` (vectorized) and
-        reads the approximate-gate survivors.  Pass 2 runs only survivor
-        events through the unchanged exact collector, so survivor
-        observations — and therefore their feature rows — are
-        bit-identical to the exact path.  Gated-out events are window-
-        stage drops; pass-1 wall time is select-stage time (it *is* the
-        approximate select).
-        """
-        if isinstance(entries, EntryBlock):
-            return self._windows_sketch_block(entries, start, end, width)
-        params = self.config.sketch_params()
-        with self._scope():
-            with span("stage.ingest") as ingest_span:
-                # A boolean in-range mask over the input sequence (1 byte
-                # per event) instead of a copied entry-reference list —
-                # pass 2 re-reads survivors straight off *entries*.
-                if not isinstance(entries, Sequence):
-                    entries = list(entries)
-                ingested = len(entries)
-                in_range = np.zeros(ingested, dtype=bool)
-                previous_ts = float("-inf")
-                for j, entry in enumerate(entries):
-                    if not start <= entry.timestamp < end:
-                        continue
-                    if entry.timestamp < previous_ts:
-                        raise ValueError("entries are not time-ordered")
-                    previous_ts = entry.timestamp
-                    in_range[j] = True
-                n = int(in_range.sum())
-                dropped = ingested - n
-            with span("stage.select") as select_span:
-                timestamps = np.fromiter(
-                    (e.timestamp for e in compress(entries, in_range)), np.float64, n
-                )
-                queriers = np.fromiter(
-                    (e.querier for e in compress(entries, in_range)), np.int64, n
-                )
-                originators = np.fromiter(
-                    (e.originator for e in compress(entries, in_range)), np.int64, n
-                )
-                # Entries are time-ordered, so window indices are
-                # non-decreasing and each window is a contiguous slice.
-                indices = ((timestamps - start) // width).astype(np.int64)
-                uniq, bounds = np.unique(indices, return_index=True)
-                bounds = np.append(bounds, n)
-                prestages: dict[int, SketchPreStage] = {}
-                survivor_mask = np.zeros(n, dtype=bool)
-                for k, window_index in enumerate(uniq):
-                    lo, hi = int(bounds[k]), int(bounds[k + 1])
-                    prestage = SketchPreStage(params)
-                    prestage.exact_observations = True
-                    prestage.observe_batch(
-                        timestamps[lo:hi], queriers[lo:hi], originators[lo:hi]
-                    )
-                    prestages[int(window_index)] = prestage
-                    survivor_mask[lo:hi] = np.isin(
-                        originators[lo:hi], prestage.survivors()
-                    )
-                gated_events = int(n - int(survivor_mask.sum()))
-                # Expand the (in-range-relative) survivor mask back over
-                # the full input sequence, then drop pass 1's whole-log
-                # arrays — dead weight during the exact pass — so
-                # sketch-mode peak memory stays bounded by survivor
-                # state, not log size.
-                in_range[in_range] = survivor_mask
-                del timestamps, queriers, originators, indices, survivor_mask
-            collector = StreamingCollector(
-                window_seconds=width,
-                origin=start,
-                dedup_window=self.config.dedup_window,
-                reorder_slack=0.0,
-            )
-            with span("stage.window") as window_span:
-                for entry in compress(entries, in_range):
-                    collector.ingest(entry)
-                del in_range
-                emitted = {
-                    self._index_of(window.start, start, width): window
-                    for window in collector.flush()
-                }
-                windows: list[ObservationWindow] = []
-                index = 0
-                window_start = start
-                while window_start < end:
-                    window_end = min(window_start + width, end)
-                    window = emitted.get(
-                        index, ObservationWindow(start=window_start, end=window_end)
-                    )
-                    window.end = window_end
-                    prestage = prestages.get(index)
-                    if prestage is not None:
-                        window.prestage = prestage
-                        window.querier_roster = prestage.roster_array()
-                    windows.append(window)
-                    index += 1
-                    window_start = window_start + width
-            accepted = ingested - dropped
-            self._record_stage(
-                "ingest",
-                items_in=ingested,
-                items_out=accepted,
-                dropped=dropped,
-                seconds=ingest_span.elapsed,
-            )
-            # Item accounting for the select stage happens per window at
-            # featurize time (where the exact gate also runs); pass 1
-            # contributes its wall time here.
-            self._record_stage("select", seconds=select_span.elapsed)
-            self._record_stage(
-                "window",
-                items_in=accepted,
-                items_out=len(windows),
-                dropped=collector.stats.deduplicated + gated_events,
-                seconds=window_span.elapsed,
-            )
-            if get_registry() is not None:
-                count(
-                    "repro_sketch_events_total", gated_events,
-                    help="Events through the sketch pre-stage, by outcome.",
-                    result="gated",
-                )
-        return windows
-
-    def _windows_sketch_block(
-        self,
-        block: EntryBlock,
-        start: float,
-        end: float,
-        width: float,
-    ) -> list[ObservationWindow]:
-        """Sketch-mode :meth:`windows` over a columnar block.
-
-        The pre-stage's ``observe_batch`` consumes the block's columns
-        directly — no per-event object traffic at all — and pass 2 feeds
-        the survivor column slices through the collector's array core.
-        Survivor observations stay bit-identical to the exact path.
-        """
-        params = self.config.sketch_params()
-        with self._scope():
-            with span("stage.ingest") as ingest_span:
-                ingested = len(block)
-                sub = self._block_in_range(block, start, end)
-                n = len(sub)
-                dropped = ingested - n
-                timestamps = sub.timestamps
-                queriers = sub.queriers
-                originators = sub.originators
+                if not isinstance(entries, EntryBlock):
+                    entries = EntryBlock.from_entries(entries)
+                sub = self._block_in_range(entries, start, end)
+                accepted = len(sub)
                 self._emit_block_metrics(sub, path="batch")
-            with span("stage.select") as select_span:
-                # Entries are time-ordered, so window indices are
-                # non-decreasing and each window is a contiguous slice.
-                indices = ((timestamps - start) // width).astype(np.int64)
-                uniq, bounds = np.unique(indices, return_index=True)
-                bounds = np.append(bounds, n)
-                prestages: dict[int, SketchPreStage] = {}
-                survivor_mask = np.zeros(n, dtype=bool)
-                for k, window_index in enumerate(uniq):
-                    lo, hi = int(bounds[k]), int(bounds[k + 1])
-                    prestage = SketchPreStage(params)
-                    prestage.exact_observations = True
-                    prestage.observe_batch(
-                        timestamps[lo:hi], queriers[lo:hi], originators[lo:hi]
-                    )
-                    prestages[int(window_index)] = prestage
-                    survivor_mask[lo:hi] = np.isin(
-                        originators[lo:hi], prestage.survivors()
-                    )
-                gated_events = int(n - int(survivor_mask.sum()))
-            collector = StreamingCollector(
-                window_seconds=width,
-                origin=start,
-                dedup_window=self.config.dedup_window,
-                reorder_slack=0.0,
-            )
+                if not sketch:
+                    feed(sub)
+            prestages: dict[int, SketchPreStage] = {}
+            if sketch:
+                with span("stage.select") as select_span:
+                    prestages, survivors = self._sketch_gate(sub, start, width)
+                    sub = sub[survivors]
+            gated_events = accepted - len(sub)
             with span("stage.window") as window_span:
-                collector.ingest_arrays(
-                    timestamps[survivor_mask],
-                    queriers[survivor_mask],
-                    originators[survivor_mask],
-                )
+                if sketch:
+                    feed(sub)
                 emitted = {
                     self._index_of(window.start, start, width): window
                     for window in collector.flush()
@@ -870,15 +649,18 @@ class SensorEngine:
                     windows.append(window)
                     index += 1
                     window_start = window_start + width
-            accepted = ingested - dropped
             self._record_stage(
                 "ingest",
-                items_in=ingested,
+                items_in=len(entries),
                 items_out=accepted,
-                dropped=dropped,
+                dropped=len(entries) - accepted,
                 seconds=ingest_span.elapsed,
             )
-            self._record_stage("select", seconds=select_span.elapsed)
+            if sketch:
+                # The approximate gate *is* a select, so its wall time is
+                # select-stage time; the stage's item accounting happens
+                # per window at featurize time, where the exact gate runs.
+                self._record_stage("select", seconds=select_span.elapsed)
             self._record_stage(
                 "window",
                 items_in=accepted,
@@ -886,13 +668,46 @@ class SensorEngine:
                 dropped=collector.stats.deduplicated + gated_events,
                 seconds=window_span.elapsed,
             )
-            if get_registry() is not None:
+            if sketch and get_registry() is not None:
                 count(
                     "repro_sketch_events_total", gated_events,
                     help="Events through the sketch pre-stage, by outcome.",
                     result="gated",
                 )
         return windows
+
+    def _sketch_gate(
+        self, block: EntryBlock, start: float, width: float
+    ) -> tuple[dict[int, SketchPreStage], np.ndarray]:
+        """Batch sketch mode's approximate § III-B gate over a sorted block.
+
+        Streams each window's events through one window-scoped
+        :class:`~repro.sketch.prestage.SketchPreStage` and returns the
+        pre-stages by window index plus the mask of events whose
+        originator survived its window's gate.
+        """
+        params = self.config.sketch_params()
+        timestamps = block.timestamps
+        queriers = block.queriers
+        originators = block.originators
+        n = len(block)
+        # Time-ordered, so window indices are non-decreasing and each
+        # window is a contiguous slice.
+        indices = ((timestamps - start) // width).astype(np.int64)
+        uniq, bounds = np.unique(indices, return_index=True)
+        bounds = np.append(bounds, n)
+        prestages: dict[int, SketchPreStage] = {}
+        survivors = np.zeros(n, dtype=bool)
+        for k, window_index in enumerate(uniq):
+            lo, hi = int(bounds[k]), int(bounds[k + 1])
+            prestage = SketchPreStage(params)
+            prestage.exact_observations = True
+            prestage.observe_batch(
+                timestamps[lo:hi], queriers[lo:hi], originators[lo:hi]
+            )
+            prestages[int(window_index)] = prestage
+            survivors[lo:hi] = np.isin(originators[lo:hi], prestage.survivors())
+        return prestages, survivors
 
     @staticmethod
     def _index_of(window_start: float, origin: float, width: float) -> int:
@@ -1152,9 +967,7 @@ class SensorEngine:
 
         Slices ``[start, end)`` into config-width windows and runs each
         through select/featurize (and classify when fitted, or when
-        *classify* is forced true).  Columnar input
-        (:class:`~repro.logstore.EntryBlock`) runs end-to-end as array
-        math, bit-identical to the per-object path.
+        *classify* is forced true).
         """
         with self._scope(), span("engine.run"):
             return [

@@ -1,10 +1,21 @@
-"""Streaming backscatter collection: the canonical windowing + dedup.
+"""Streaming backscatter collection: the one windowing + dedup body.
 
-This module is the **single** windowing/dedup implementation of the
-sensor.  The batch entry points (:func:`repro.sensor.collection.collect_window`
-and the batch side of :class:`repro.sensor.engine.SensorEngine`) are thin
-adapters over :class:`StreamingCollector`, so sensing semantics are
-defined exactly once, here:
+Every sensing path — batch, streaming, sketched, sharded, served — feeds
+:class:`StreamingCollector` columnar event chunks
+(:class:`~repro.logstore.EntryBlock` columns); ``QueryLogEntry`` callers
+are converted to blocks in front of it.  One chunk flows through:
+
+1. :class:`~repro.sensor.reorder.ReorderFront` — accept / count late /
+   release in time order once the watermark passes (§ III-A's "near time
+   order");
+2. a split at observation-window boundaries (§ III-B's intervals);
+3. per window, :func:`~repro.logstore.dedup_mask` with the carried
+   last-kept state — or, in sketch mode,
+   :meth:`~repro.sketch.prestage.SketchPreStage.observe_arrays`;
+4. :func:`~repro.sensor.collection.extend_window_arrays` — survivors
+   grouped by originator in first-kept-appearance order.
+
+Semantics, defined once, here:
 
 * **30 s dedup, scoped to the observation window** — repeats of the same
   (querier, originator) pair within ``dedup_window`` seconds of the last
@@ -18,36 +29,37 @@ defined exactly once, here:
   reproducible and shardable in isolation.
 * **bounded reordering** — entries may arrive up to ``reorder_slack``
   seconds behind the newest-seen timestamp (network capture reorders
-  packets).  Accepted entries are buffered in a small timestamp-ordered
-  heap and only processed once the watermark (newest timestamp minus
-  slack) passes them, so the dedup/windowing core always sees a
-  time-ordered stream.  Input whose disorder is bounded by the slack
-  yields **identical** windows to a sorted batch pass; strictly-late
-  entries are counted and dropped rather than corrupting closed windows.
+  packets); the front holds them until the watermark passes, so the
+  dedup/windowing core always sees a time-ordered stream.  Input whose
+  disorder is bounded by the slack yields **identical** windows to a
+  sorted batch pass; strictly-late (and non-finite) timestamps are
+  counted and dropped rather than corrupting closed windows.
+* **chunk invariance** — windows, observation order and stats do not
+  depend on how the stream is split into calls.
 * **bounded state** — dedup state lives per open window and is pruned as
   the watermark advances, so memory is O(active pairs + buffered slack),
   not O(log).
 
-These guarantees are enforced by the batch/streaming equivalence
-property tests in ``tests/test_engine.py``.
+``tests/test_ingest_properties.py`` checks these against the scalar
+oracle :func:`~repro.sensor.collection.dedup_entries`.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable
 
 import numpy as np
 
 from repro.dnssim.message import QueryLogEntry
+from repro.logstore.block import blocks_from_entries
 from repro.logstore.ops import dedup_mask
 from repro.sensor.collection import (
     DEDUP_WINDOW_SECONDS,
     ObservationWindow,
-    OriginatorObservation,
     extend_window_arrays,
 )
+from repro.sensor.reorder import Columns, ReorderFront
 
 if TYPE_CHECKING:
     from repro.logstore import EntryBlock
@@ -63,9 +75,10 @@ class StreamingStats:
     ``reordered`` counts entries that arrived behind the newest-seen
     timestamp but within ``reorder_slack`` — accepted disorder, the
     reorder buffer's workload.  ``late_dropped`` counts entries beyond
-    the slack, which are dropped.  The engine publishes both (plus
-    dedup and window counts) as telemetry counters when a metrics
-    registry is installed (``repro_stream_*_total``).
+    the slack (or below the origin, or with a non-finite timestamp),
+    which are dropped.  The engine publishes both (plus dedup and window
+    counts) as telemetry counters when a metrics registry is installed
+    (``repro_stream_*_total``).
     """
 
     ingested: int = 0
@@ -129,20 +142,7 @@ class StreamingCollector:
         self.reorder_slack = reorder_slack
         self.on_window = on_window
         self.stats = StreamingStats()
-        self._high_water = float("-inf")
-        self._emitted_through = origin
-        # Reorder buffer: (timestamp, arrival seq, querier, originator),
-        # popped in time order once the watermark passes the timestamp.
-        # Arrival seq breaks timestamp ties, so equal-timestamp entries
-        # always release in arrival order — chunked block ingest relies
-        # on this determinism matching the per-entry path exactly.
-        self._pending: list[tuple[float, int, int, int]] = []
-        self._seq = 0
-        # Ingest count at the last dedup prune.  The prune cadence is a
-        # high-water threshold on this delta (not a modulo on the total):
-        # block ingest advances ``stats.ingested`` by chunk-sized jumps,
-        # which can skip any particular modulo value indefinitely.
-        self._pruned_at_ingested = 0
+        self._front = ReorderFront(origin=origin, reorder_slack=reorder_slack)
         # Dedup state for the window currently being filled (processing
         # is time-ordered, so only one window accumulates at a time).
         self._dedup_index: int | None = None
@@ -153,9 +153,6 @@ class StreamingCollector:
         self._prestage: "SketchPreStage | None" = None
 
     # ------------------------------------------------------------------
-
-    def _window_index(self, timestamp: float) -> int:
-        return int((timestamp - self.origin) // self.window_seconds)
 
     def _window_for(self, index: int) -> ObservationWindow:
         window = self._open.get(index)
@@ -168,42 +165,26 @@ class StreamingCollector:
         return window
 
     def ingest(self, entry: QueryLogEntry) -> None:
-        """Feed one entry; may close windows as the watermark advances.
+        """Feed one entry: a one-event :meth:`ingest_arrays` call.
 
-        This is the thin per-object adapter over the same core the
-        columnar :meth:`ingest_block` path uses; the two are pinned
-        equivalent by property tests.
+        A convenience for examples and tests, not a feed path — every
+        call pays the per-chunk fixed costs (array setup, the dedup-state
+        prune over all live pairs).  Feed logs with :meth:`ingest_many`
+        or :meth:`ingest_block`.
         """
-        self.stats.ingested += 1
-        timestamp = entry.timestamp
-        if timestamp < self.origin:
-            self.stats.late_dropped += 1
-            return
-        if timestamp < self._high_water - self.reorder_slack:
-            self.stats.late_dropped += 1
-            return
-        if timestamp > self._high_water:
-            self._high_water = timestamp
-        elif timestamp < self._high_water:
-            self.stats.reordered += 1
-        if self.reorder_slack == 0:
-            # Fast path: watermark == high water, the entry is released
-            # immediately — no buffering needed.
-            self._process(timestamp, entry.querier, entry.originator)
-        else:
-            heapq.heappush(
-                self._pending,
-                (timestamp, self._seq, entry.querier, entry.originator),
-            )
-            self._seq += 1
-        self._release(self._high_water - self.reorder_slack)
+        self.ingest_arrays(
+            np.array([entry.timestamp], dtype=np.float64),
+            np.array([entry.querier], dtype=np.int64),
+            np.array([entry.originator], dtype=np.int64),
+        )
 
     def ingest_many(self, entries: Iterable[QueryLogEntry]) -> None:
-        for entry in entries:
-            self.ingest(entry)
+        """Feed an iterable of entries, converted to blocks chunk by chunk."""
+        for block in blocks_from_entries(entries):
+            self.ingest_block(block)
 
     def ingest_block(self, block: "EntryBlock") -> None:
-        """Feed one columnar block through the vectorized ingest core."""
+        """Feed one columnar block."""
         self.ingest_arrays(block.timestamps, block.queriers, block.originators)
 
     def ingest_arrays(
@@ -212,91 +193,16 @@ class StreamingCollector:
         queriers: np.ndarray,
         originators: np.ndarray,
     ) -> None:
-        """Vectorized chunk ingest: same semantics as per-entry ``ingest``.
+        """Feed parallel event columns in arrival order.
 
-        Lateness/reorder accounting, watermark advancement, and release
-        ordering are computed as array math; the released pool is then
-        processed per window index with the columnar dedup
-        (:func:`repro.logstore.dedup_mask`) carrying the exact
-        ``_last_kept`` state across chunks.  Entries the watermark has
-        not passed are parked in the same ``(timestamp, seq, querier,
-        originator)`` heap the scalar path uses, so the two paths
-        interleave freely.
+        The front decides lateness and releases what the watermark has
+        passed in ``(timestamp, arrival)`` order; the released events are
+        then deduped and grouped per observation window.  The result —
+        windows, observation order and stats — is the same for any split
+        of a stream into calls.
         """
-        ts = np.ascontiguousarray(timestamps, dtype=np.float64)
-        qs = np.ascontiguousarray(queriers, dtype=np.int64)
-        os_ = np.ascontiguousarray(originators, dtype=np.int64)
-        n = int(ts.size)
-        self.stats.ingested += n
-        if n == 0:
-            return
-        # High water *before* each entry: running max shifted one, seeded
-        # with the pre-chunk high water.  Late entries never update the
-        # scalar high water, and the running max is unaffected by
-        # including them (anything below the watermark is below the max).
-        prev_high = self._high_water
-        running = np.maximum.accumulate(ts)
-        high_before = np.empty(n, dtype=np.float64)
-        high_before[0] = prev_high
-        if n > 1:
-            np.maximum(running[:-1], prev_high, out=high_before[1:])
-        late = ts < self.origin
-        late |= ts < high_before - self.reorder_slack
-        n_late = int(np.count_nonzero(late))
-        if n_late:
-            self.stats.late_dropped += n_late
-            if n_late == n:
-                return
-            accepted = ~late
-            ts = ts[accepted]
-            qs = qs[accepted]
-            os_ = os_[accepted]
-            high_before = high_before[accepted]
-        self.stats.reordered += int(np.count_nonzero(ts < high_before))
-        # running[-1] may include late entries, but a late entry can never
-        # exceed the legitimate high water (slack-late is strictly below
-        # it; below-origin values stay below origin, where no window end,
-        # buffered entry, or dedup horizon can be affected).
-        self._high_water = max(prev_high, float(running[-1]))
-        watermark = self._high_water - self.reorder_slack
-        if self.reorder_slack == 0 and not self._pending:
-            # In-order fast path: with zero slack every accepted entry is
-            # released on arrival, and acceptance implies non-decreasing
-            # timestamps, so arrival order *is* (timestamp, seq) order.
-            self._process_arrays(ts, qs, os_)
-        else:
-            seqs = np.arange(self._seq, self._seq + ts.size, dtype=np.int64)
-            self._seq += int(ts.size)
-            releasable = ts <= watermark
-            held = np.flatnonzero(~releasable)
-            for i in held.tolist():
-                heapq.heappush(
-                    self._pending,
-                    (float(ts[i]), int(seqs[i]), int(qs[i]), int(os_[i])),
-                )
-            pool_ts = ts[releasable]
-            pool_seq = seqs[releasable]
-            pool_q = qs[releasable]
-            pool_o = os_[releasable]
-            if self._pending and self._pending[0][0] <= watermark:
-                drained = []
-                while self._pending and self._pending[0][0] <= watermark:
-                    drained.append(heapq.heappop(self._pending))
-                old_ts = np.array([d[0] for d in drained], dtype=np.float64)
-                old_seq = np.array([d[1] for d in drained], dtype=np.int64)
-                old_q = np.array([d[2] for d in drained], dtype=np.int64)
-                old_o = np.array([d[3] for d in drained], dtype=np.int64)
-                pool_ts = np.concatenate([old_ts, pool_ts])
-                pool_seq = np.concatenate([old_seq, pool_seq])
-                pool_q = np.concatenate([old_q, pool_q])
-                pool_o = np.concatenate([old_o, pool_o])
-            if pool_ts.size:
-                # Released entries process in (timestamp, arrival seq)
-                # order — identical to the scalar heap's pop order.
-                order = np.lexsort((pool_seq, pool_ts))
-                self._process_arrays(pool_ts[order], pool_q[order], pool_o[order])
-        self._emit_ready(watermark)
-        self._prune_dedup(watermark)
+        released = self._front.push(timestamps, queriers, originators)
+        self._drain(released, self._front.watermark)
 
     def advance_watermark(self, timestamp: float) -> None:
         """Advance the watermark to *timestamp* without ingesting anything.
@@ -308,51 +214,36 @@ class StreamingCollector:
         watermark are late, exactly as if an event at *timestamp* had
         been ingested.
         """
-        if timestamp > self._high_water:
-            self._high_water = timestamp
-        self._release(self._high_water - self.reorder_slack)
+        released = self._front.advance(timestamp)
+        self._drain(released, self._front.watermark)
 
     # ------------------------------------------------------------------
 
-    def _release(self, watermark: float) -> None:
-        """Process buffered entries up to *watermark*, then emit windows."""
-        while self._pending and self._pending[0][0] <= watermark:
-            _ts, _seq, querier, originator = heapq.heappop(self._pending)
-            self._process(_ts, querier, originator)
-        self._emit_ready(watermark)
-        # Periodically prune dedup state too old to suppress anything:
-        # every future processed entry has timestamp >= watermark, so a
-        # pair whose last kept query is a full dedup window behind the
-        # watermark is inert.  The cadence is a high-water threshold —
-        # "at least 1024 ingested since the last prune" — which fires
-        # regardless of step size, unlike a modulo that chunk-sized
-        # ``ingested`` jumps can hop over forever.
-        if self.stats.ingested - self._pruned_at_ingested >= 1024:
-            self._prune_dedup(watermark)
-
-    def _emit_ready(self, watermark: float) -> None:
+    def _drain(self, released: Columns, watermark: float) -> None:
+        """Everything behind the front: dedup + group *released*, emit
+        the windows *watermark* has passed, drop inert dedup state."""
+        self._process_arrays(*released)
+        front, stats = self._front, self.stats
+        stats.ingested = front.ingested
+        stats.late_dropped = front.late_dropped
+        stats.reordered = front.reordered
         for index in sorted(self._open):
             window = self._open[index]
-            if window.end <= watermark:
-                del self._open[index]
-                self._emit(window)
-            else:
+            if window.end > watermark:
                 break
-
-    def _prune_dedup(self, watermark: float) -> None:
-        self._pruned_at_ingested = self.stats.ingested
+            del self._open[index]
+            self._emit(window)
+        # Every later released event has timestamp >= watermark, so a pair
+        # can still suppress only while ``watermark - ts < window`` — the
+        # scalar keep predicate's exact float expression (a precomputed
+        # horizon rounds differently near the boundary).  Pruned on every
+        # call: ``dedup_mask``'s per-chunk cost grows with the carry size.
         if self._last_kept:
-            # Keep a pair only while it can still suppress: the smallest
-            # timestamp any future processed entry can have is the
-            # watermark, so the pair is live iff ``watermark - ts <
-            # window`` — the scalar keep predicate's exact float
-            # expression (subtraction, not a precomputed horizon, which
-            # rounds differently near the boundary).
-            window = self.dedup_window
+            dedup_window = self.dedup_window
             self._last_kept = {
                 key: ts
                 for key, ts in self._last_kept.items()
-                if watermark - ts < window
+                if watermark - ts < dedup_window
             }
 
     def _enter_window(self, index: int) -> None:
@@ -363,41 +254,17 @@ class StreamingCollector:
         if self._prestage_factory is not None:
             self._prestage = self._prestage_factory()
 
-    def _process(self, timestamp: float, querier: int, originator: int) -> None:
-        """Dedup + group one entry.  Entries arrive here in time order."""
-        index = self._window_index(timestamp)
-        if index != self._dedup_index:
-            self._enter_window(index)
-        if self._prestage is not None:
-            self._process_sketched(timestamp, querier, originator, index)
-            return
-        key = (querier, originator)
-        last = self._last_kept.get(key)
-        if last is not None and timestamp - last < self.dedup_window:
-            self.stats.deduplicated += 1
-            return
-        self._last_kept[key] = timestamp
-        window = self._window_for(index)
-        observation = window.observations.get(originator)
-        if observation is None:
-            observation = OriginatorObservation(originator=originator)
-            window.observations[originator] = observation
-        observation.add(timestamp, querier)
-
     def _process_arrays(
         self, ts: np.ndarray, qs: np.ndarray, os_: np.ndarray
     ) -> None:
-        """Columnar core: dedup + group a time-ordered released pool.
+        """Dedup + group a time-ordered released pool.
 
         Splits the pool at observation-window boundaries (timestamps are
         sorted, so the window index column is non-decreasing), resets
-        dedup scope per window exactly like the scalar path, and runs
-        the vectorized dedup with ``_last_kept`` as carry state so a
-        window fed across many chunks dedups identically to one pass.
-        Sketch mode routes each window segment through the pre-stage's
-        array-native :meth:`~repro.sketch.prestage.SketchPreStage.observe_arrays`
-        (vectorized dedup + two-tier promotion resolver), whose verdict
-        sequence is pinned identical to the scalar per-entry core.
+        the dedup scope on entering each window, and runs the vectorized
+        dedup with ``_last_kept`` as carry state so a window fed across
+        many chunks dedups identically to one pass.  Sketch mode routes
+        each window segment through the pre-stage instead.
         """
         if ts.size == 0:
             return
@@ -430,45 +297,17 @@ class StreamingCollector:
             window = self._window_for(index)
             extend_window_arrays(window, w_ts[mask], w_qs[mask], w_os[mask])
 
-    def _process_sketched(
-        self, timestamp: float, querier: int, originator: int, index: int
+    def _process_sketched_arrays(
+        self, ts: np.ndarray, qs: np.ndarray, os_: np.ndarray, index: int
     ) -> None:
         """Sketch mode: summarize first, materialize only KEEP verdicts.
 
         The pre-stage's bucketed Bloom filter takes over duplicate
         suppression, so the exact ``_last_kept`` dict never grows — the
-        constant-memory property sketch mode exists for.
-        """
-        from repro.sketch.prestage import DEFER, DUPLICATE
-
-        verdict = self._prestage.observe(timestamp, querier, originator)
-        if verdict == DUPLICATE:
-            self.stats.deduplicated += 1
-            return
-        window = self._window_for(index)
-        if window.prestage is None:
-            window.prestage = self._prestage
-        if verdict == DEFER:
-            return
-        observation = window.observations.get(originator)
-        if observation is None:
-            observation = OriginatorObservation(originator=originator)
-            window.observations[originator] = observation
-        observation.add(timestamp, querier)
-
-    def _process_sketched_arrays(
-        self, ts: np.ndarray, qs: np.ndarray, os_: np.ndarray, index: int
-    ) -> None:
-        """Sketch mode, columnar: one window segment through the
-        pre-stage's array-native verdict path.
-
-        Produces the exact per-entry verdict sequence (pinned by the
-        scalar-vs-vectorized property suite): DUPLICATEs accrue to
-        ``stats.deduplicated`` per chunk, any non-duplicate opens the
-        window and attaches the pre-stage (the first processed event of
-        a fresh window can never be a duplicate — its Bloom filter is
-        empty — so window-creation timing matches the scalar path), and
-        KEEP events materialize in first-promotion order via
+        constant-memory property sketch mode exists for.  DUPLICATEs
+        accrue to ``stats.deduplicated``, any non-duplicate opens the
+        window and attaches the pre-stage, DEFERs are summarized only,
+        and KEEP events materialize in first-promotion order via
         :func:`~repro.sensor.collection.extend_window_arrays`.
         """
         from repro.sketch.prestage import DUPLICATE_CODE
@@ -488,7 +327,6 @@ class StreamingCollector:
         if window.prestage is not None and window.querier_roster is None:
             window.querier_roster = window.prestage.roster_array()
         self.stats.windows_emitted += 1
-        self._emitted_through = max(self._emitted_through, window.end)
         self._ready.append(window)
         if self.on_window is not None:
             self.on_window(window)
@@ -503,11 +341,7 @@ class StreamingCollector:
 
     def flush(self) -> list[ObservationWindow]:
         """Close and return every still-open window (end of stream)."""
-        self._release(float("inf"))
-        remaining = [self._open[i] for i in sorted(self._open)]
-        self._open.clear()
-        for window in remaining:
-            self._emit(window)
+        self._drain(self._front.flush(), float("inf"))
         return self.completed_windows()
 
     @property
@@ -517,7 +351,7 @@ class StreamingCollector:
     @property
     def pending_entries(self) -> int:
         """Entries buffered awaiting the watermark (reorder slack)."""
-        return len(self._pending)
+        return self._front.pending_entries
 
     @property
     def dedup_state_size(self) -> int:

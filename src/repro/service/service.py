@@ -27,6 +27,7 @@ and no event is dropped while models change.
 from __future__ import annotations
 
 import asyncio
+import math
 import threading
 from collections import Counter as TallyCounter
 from collections import deque
@@ -284,7 +285,12 @@ class BackscatterService:
             self.engine.ingest_block(block)
             self.events_total += len(block)
             newest = float(block.timestamps.max())
-            if self._newest_ts is None or newest > self._newest_ts:
+            # The engine drops a non-finite timestamp as late; it must
+            # not become the feed clock either (an ``inf`` lag is not
+            # JSON, so ``/healthz`` would break for good).
+            if math.isfinite(newest) and (
+                self._newest_ts is None or newest > self._newest_ts
+            ):
                 self._newest_ts = newest
             self._count("repro_service_events_total", len(block),
                         help="Feed events accepted by the service.")

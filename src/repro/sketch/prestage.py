@@ -26,11 +26,14 @@ Two operating modes share the class:
   is one-sided — an analyzable originator is dropped only if its HLL
   estimate lands below ``gate_queriers``, which the margin built into
   the gate (see ``SensorConfig.sketch_margin``) makes vanishingly rare.
-* **streaming** (single-pass): :meth:`observe` is called per event and
-  an originator is *promoted* to exact state once its estimate reaches
-  ``promote_queriers``; events before promotion are summarized but not
-  materialized, so promoted footprints can trail exact ones by at most
-  the handful of pre-promotion queriers.
+* **streaming** (single-pass): the collector passes each window segment
+  to :meth:`observe_arrays` and an originator is *promoted* to exact
+  state once its estimate reaches ``promote_queriers``; events before
+  promotion are summarized but not materialized, so promoted footprints
+  can trail exact ones by at most the handful of pre-promotion queriers.
+  Per-event :meth:`observe` states the same rule one event at a time; it
+  is the oracle the tests hold :meth:`observe_arrays` to, and nothing in
+  the sensing path calls it.
 
 Dedup note: the Bloom key uses fixed ``⌊t/30 s⌋`` buckets, not the
 exact path's sliding 30 s horizon.  Unique-querier counts (the gate
@@ -266,8 +269,8 @@ class SketchPreStage:
 
     def observe(self, timestamp: float, querier: int, originator: int) -> str:
         """Summarize one event; returns a verdict (:data:`KEEP`,
-        :data:`DEFER`, or :data:`DUPLICATE`) telling the streaming
-        collector what to do with the exact event."""
+        :data:`DEFER`, or :data:`DUPLICATE`) saying what becomes of the
+        exact event.  The scalar oracle for :meth:`observe_arrays`."""
         self._roster.add(querier)
         if self.params.dedup_seconds > 0:
             key = _event_key(originator, querier, self._bucket(timestamp), self._key_seed)

@@ -337,10 +337,9 @@ class TestStreamingEquivalence:
 
     @pytest.mark.parametrize("chunk", [1, 7, 400])
     def test_streaming_sketch_vectorized_chunks_match_scalar_feed(self, chunk):
-        # Shards inherit the pre-stage's array-native verdict path via
-        # ingest_arrays; any chunk split must promote the same rows as a
-        # per-entry scalar feed of a single engine.  (Row *order* differs
-        # by the documented promotion-vs-first-appearance exception.)
+        # Any chunk split across two shards must promote the same rows as
+        # a single engine fed the whole log.  (Row *order* differs by the
+        # documented promotion-vs-first-appearance exception.)
         directory = directory_for(range(100, 140))
         config = SensorConfig(
             window_seconds=100.0,
@@ -350,8 +349,7 @@ class TestStreamingEquivalence:
         )
         entries = synthetic_entries()
         engine = SensorEngine(directory, config)
-        for e in entries:
-            engine.ingest(e)
+        engine.ingest_many(entries)
         expected = engine.poll(classify=False) + engine.finish(classify=False)
         block = EntryBlock.from_entries(entries)
         with FederatedSensor(

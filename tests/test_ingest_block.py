@@ -1,11 +1,14 @@
-"""Block ingest == object ingest, end to end.
+"""Chunk invariance of block ingest, end to end.
 
-Property tests pinning the array ingest plane's central contract: feeding
-the pipeline columnar :class:`~repro.logstore.EntryBlock` chunks produces
-**bit-identical** windows, observation order, and stats to the historical
-per-object paths — on adversarial logs with timestamp ties, window-
-boundary straddles, disorder within the reorder slack, and strictly-late
-drops.  Also pins the satellite behaviors that ride along: upfront order
+There is one ingest path — columnar :class:`~repro.logstore.EntryBlock`
+chunks — and ``QueryLogEntry`` callers are converted in front of it, so
+"per entry" here means chunk size 1 (``ingest(entry)`` is a one-event
+block).  These tests pin that windows, observation order, and stats are
+**bit-identical** for every split of a stream — on adversarial logs with
+timestamp ties, window-boundary straddles, disorder within the reorder
+slack, and strictly-late drops — and that list and block inputs give the
+same result.  (The semantics themselves are checked against scalar
+models in ``test_ingest_properties.py``.)  Also pins: upfront order
 validation in ``collect_window``, the lazily-cached unique-querier view,
 and deterministic arrival-order release of reorder-buffer ties.
 """
@@ -122,7 +125,8 @@ class TestStreamingBlockEquivalence:
     )
     @settings(max_examples=150, deadline=None)
     def test_chunked_block_matches_per_entry(self, rows, slack, chunk):
-        """Same stream (disorder, late drops, ties and all) fed both ways."""
+        """Same stream (disorder, late drops, ties and all) fed one event
+        per call and in chunks."""
         entries = make_entries(rows)
         scalar = StreamingCollector(20.0, reorder_slack=slack)
         for entry in entries:
@@ -142,7 +146,8 @@ class TestStreamingBlockEquivalence:
     @given(rows_strategy, st.integers(min_value=1, max_value=5))
     @settings(max_examples=100, deadline=None)
     def test_interleaving_scalar_and_block_ingest(self, rows, chunk):
-        """The two ingest forms share one collector state machine."""
+        """A non-uniform split: runs of one-event calls alternating with
+        whole chunks."""
         entries = make_entries(rows)
         reference = StreamingCollector(20.0, reorder_slack=2.0)
         for entry in entries:
@@ -245,6 +250,3 @@ class TestLazyUniqueQueriers:
         obs.extend_lists([3.0], [11])
         assert obs._unique is None  # bulk append invalidates
         assert obs.footprint == 2
-        obs.extend_arrays(np.array([4.0]), np.array([12]))
-        assert obs._unique is None
-        assert obs.footprint == 3

@@ -232,8 +232,7 @@ class TestStreamingMode:
         exact_engine = SensorEngine(config=SensorConfig(window_seconds=WINDOW, min_queriers=10))
         sketch_engine = SensorEngine(config=config)
         exact_win = exact_engine.windows(entries, 0.0, WINDOW)[0]
-        for entry in entries:
-            sketch_engine.ingest(entry)
+        sketch_engine.ingest_many(entries)
         sketch_win = sketch_engine.finish(classify=False)[0].window
         prestage = sketch_win.prestage
         assert prestage is not None

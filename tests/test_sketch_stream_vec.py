@@ -1,10 +1,12 @@
-"""Vectorized streaming sketch == scalar streaming sketch.
+"""Streaming sketch: ``observe_arrays`` against its scalar oracle.
 
 Property suite for the array-native ``SketchPreStage.observe_arrays``
-path (vectorized dedup + two-tier promotion resolver) and the collector
-plumbing above it: verdict sequence, promoted set, roster, dedup/defer
-counters, and emitted window contents must match the per-event
-``observe()`` path exactly, for any chunk split — including chunks that
+path (vectorized dedup + two-tier promotion resolver): verdict sequence,
+promoted set, roster and dedup/defer counters must match the per-event
+``observe()`` oracle exactly, for any chunk split.  The collector above
+it only ever calls ``observe_arrays``, so its tests are chunk-invariance
+tests — emitted windows and stats are the same at chunk size 1
+(``ingest(entry)``) as at any other split, including chunks that
 straddle window boundaries and reorder-slack replays.  Also pins the
 satellites that ride along: the gate-cache fix (a DUPLICATE verdict no
 longer invalidates the cached gate), the ``HllBank`` batched
@@ -309,8 +311,8 @@ class TestStreamingCollectorSketchEquivalence:
         self, rows, slack, chunk, promote
     ):
         """Same sketched stream (disorder, late drops, boundary straddles
-        and all) fed per entry vs in chunks — windows, attached pre-stage
-        state, rosters, and stats must all match."""
+        and all) fed one event per call vs in chunks — windows, attached
+        pre-stage state, rosters, and stats must all match."""
         entries = make_entries(rows)
         scalar = self._collector(slack, promote)
         for entry in entries:
@@ -330,7 +332,8 @@ class TestStreamingCollectorSketchEquivalence:
     @given(rows_strategy, st.integers(min_value=1, max_value=5))
     @settings(max_examples=75, deadline=None)
     def test_interleaving_scalar_and_block_sketch_ingest(self, rows, chunk):
-        """The two ingest forms share one sketched state machine."""
+        """A non-uniform split: runs of one-event calls alternating with
+        whole chunks."""
         entries = make_entries(rows)
         reference = self._collector(2.0, 2)
         for entry in entries:
@@ -352,8 +355,9 @@ class TestStreamingCollectorSketchEquivalence:
 
     @pytest.mark.parametrize("chunk", [1, 3, 1000])
     def test_dense_promoting_stream(self, chunk):
-        """A deterministic dense log where many originators promote: the
-        block path must reproduce promotion-order materialization."""
+        """A deterministic dense log where many originators promote:
+        every chunk size must reproduce the one-block materialization
+        order."""
         rng = np.random.default_rng(9)
         n = 3000
         rows = sorted(
@@ -365,8 +369,7 @@ class TestStreamingCollectorSketchEquivalence:
         )
         entries = make_entries(rows)
         scalar = self._collector(0.0, 4)
-        for entry in entries:
-            scalar.ingest(entry)
+        scalar.ingest_many(entries)
         scalar_windows = scalar.flush()
         block = self._collector(0.0, 4)
         for lo in range(0, len(entries), chunk):

@@ -100,8 +100,9 @@ class TestDedupAndLateness:
 
     def test_dedup_state_pruned(self):
         collector = StreamingCollector(window_seconds=50.0, reorder_slack=0.0)
-        for i in range(5000):
-            collector.ingest(entry(float(i), querier=i, originator=i))
+        collector.ingest_many(
+            entry(float(i), querier=i, originator=i) for i in range(5000)
+        )
         assert collector.dedup_state_size < 5000
 
     def test_dedup_state_bounded_on_block_fed_long_stream(self):
@@ -123,10 +124,10 @@ class TestDedupAndLateness:
             os_ = np.full(chunk, 7, dtype=np.int64)
             collector.ingest_arrays(ts, qs, os_)
             high_water_state = max(high_water_state, collector.dedup_state_size)
-        # Live bound: ``rate * dedup`` pairs can still suppress, plus at
-        # most one prune cadence (1024 ingested) of unpruned growth.
-        assert high_water_state <= int(rate * dedup) + 1024 + chunk
-        assert collector.dedup_state_size <= int(rate * dedup) + 1024 + chunk
+        # Live bound: ``rate * dedup`` pairs can still suppress; the
+        # state is pruned on every call.
+        assert high_water_state <= int(rate * dedup) + 1
+        assert collector.dedup_state_size <= int(rate * dedup) + 1
 
     def test_dedup_state_bounded_across_ten_windows(self):
         # Ten observation windows, block-fed; window entry resets dedup
@@ -143,7 +144,7 @@ class TestDedupAndLateness:
             qs = np.arange(base, base + chunk, dtype=np.int64)
             os_ = np.full(chunk, 7, dtype=np.int64)
             collector.ingest_arrays(ts, qs, os_)
-            assert collector.dedup_state_size <= int(rate * dedup) + 1024 + chunk
+            assert collector.dedup_state_size <= int(rate * dedup) + 1
         assert len(collector.flush()) == 10
 
     def test_advance_watermark_closes_windows_without_input(self):
