@@ -10,9 +10,15 @@ probed over HTTP while it serves, then shut down with SIGTERM.  Fails
   ``/verdicts`` at least one window record,
 * the process exits cleanly (rc 0) within the timeout after SIGTERM.
 
+With ``--shards N`` (N > 1) the service runs sharded, ``/metrics`` must
+also carry the engine's ``repro_ingest_blocks_total`` and the per-shard
+``repro_federation_events_total``, and the clean exit covers the shard
+processes too: they hold the service's stdout, so an unreaped one would
+keep the final read from ever finishing.
+
 Usage::
 
-    PYTHONPATH=src python benchmarks/smoke_service.py [--timeout 120]
+    PYTHONPATH=src python benchmarks/smoke_service.py [--timeout 120] [--shards 2]
 """
 
 from __future__ import annotations
@@ -82,6 +88,8 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--timeout", type=float, default=120.0,
                         help="overall deadline in seconds")
+    parser.add_argument("--shards", type=int, default=1,
+                        help="forwarded to `repro serve --shards`")
     args = parser.parse_args()
     deadline = time.monotonic() + args.timeout
 
@@ -93,7 +101,7 @@ def main() -> int:
                 sys.executable, "-m", "repro.cli", "serve",
                 "-l", str(log_path), "-d", str(dir_path), "-t", str(labels_path),
                 "--port", "0", "--window", "100", "--min-queriers", "3",
-                "--retrain", "daily",
+                "--retrain", "daily", "--shards", str(args.shards),
             ],
             cwd=REPO,
             env={**__import__("os").environ, "PYTHONPATH": str(REPO / "src")},
@@ -130,7 +138,11 @@ def main() -> int:
 
             status, body = http_json(port, "/metrics")
             assert status == 200, f"/metrics -> {status}"
-            assert b"repro_service_windows_total" in body, "metrics missing counter"
+            required = [b"repro_service_windows_total"]
+            if args.shards > 1:
+                required += [b"repro_ingest_blocks_total", b"repro_federation_events_total"]
+            for name in required:
+                assert name in body, f"metrics missing {name.decode()}"
             status, body = http_json(port, "/verdicts")
             assert status == 200, f"/verdicts -> {status}"
             assert json.loads(body)["windows"], "no verdict records"

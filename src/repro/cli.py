@@ -219,7 +219,8 @@ def _parse_vantages(args: argparse.Namespace) -> list[tuple[str, str]] | None:
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     from repro.datasets import read_directory
-    from repro.sensor import LabeledSet, SensorConfig, SensorEngine
+    from repro.federation import sensor_for
+    from repro.sensor import LabeledSet, SensorConfig
 
     if args.shards < 1:
         print("--shards must be positive", file=sys.stderr)
@@ -243,25 +244,22 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     )
     registry = _registry_for(args)
 
-    # Train the classify stage on the full span (one batch window).
-    trainer = SensorEngine(
-        directory,
-        SensorConfig(
-            window_seconds=end - start,
-            origin=start,
-            min_queriers=args.min_queriers,
-            featurize_workers=args.workers,
-            **_sketch_overrides(args),
-        ),
-        registry=registry,
+    # Train the classify stage on the full span (one batch window); only
+    # the sensing needs the shard workers, the trained stage outlives them.
+    config = SensorConfig(
+        window_seconds=end - start,
+        origin=start,
+        min_queriers=args.min_queriers,
+        featurize_workers=args.workers,
+        **_sketch_overrides(args),
     )
-    window = trainer.collect(entries, start, end)
-    features = trainer.featurize(window)
-    # In sketch mode the window materializes gate survivors only; the
-    # pre-stage still saw (and counts) every originator.
-    observed = (
-        len(window) if window.prestage is None else window.prestage.originators_seen
-    )
+    with sensor_for(
+        directory, config, shards=args.shards, registry=registry
+    ) as trainer:
+        features = trainer.featurize(trainer.collect(entries, start, end))
+    # Every originator the select stage saw — in sketch mode the
+    # pre-stage's count, not just the gate survivors a window materializes.
+    observed = trainer.stats["select"].items_in
     print(f"{observed} originators observed, {len(features)} analyzable")
     present = labeled.restrict_to({int(o) for o in features.originators})
     if len(present) < 4:
@@ -272,24 +270,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     if args.stream:
         return _classify_stream(args, trainer, registry, entries, start, end)
 
-    stats_text = ""
-    if args.shards > 1:
-        # Federated batch run: same span, same trained classifier, rows
-        # and verdicts bit-identical to the single engine's.
-        from repro.federation import FederatedSensor
-
-        with FederatedSensor(
-            directory, trainer.config, n_shards=args.shards, registry=registry
-        ) as federated:
-            federated.fit_from(trainer)
-            merged = federated.process(entries, start, end)[0]
-            verdicts = sorted(merged.verdicts, key=lambda v: -v.footprint)
-            if args.stats:
-                stats_text = federated.format_accounting()
-    else:
-        verdicts = sorted(trainer.classify(features), key=lambda v: -v.footprint)
-        if args.stats:
-            stats_text = trainer.format_accounting()
+    verdicts = sorted(trainer.classify(features), key=lambda v: -v.footprint)
     print(f"{'originator':<16} {'queriers':>8}  class")
     for verdict in verdicts[: args.top]:
         print(f"{ip_to_str(verdict.originator):<16} {verdict.footprint:>8}  {verdict.app_class}")
@@ -299,7 +280,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
             return code
     if args.stats:
         print()
-        print(stats_text)
+        print(trainer.format_accounting())
     _write_snapshot(args, registry)
     return 0
 
@@ -360,7 +341,8 @@ def _classify_stream(
     end: float,
 ) -> int:
     """Replay the log through the streaming path, window by window."""
-    from repro.sensor import SensorConfig, SensorEngine
+    from repro.federation import sensor_for
+    from repro.sensor import SensorConfig
 
     if args.window <= 0:
         print("--window must be positive", file=sys.stderr)
@@ -372,32 +354,17 @@ def _classify_stream(
         featurize_workers=args.workers,
         **_sketch_overrides(args),
     )
-    if args.shards > 1:
-        from repro.federation import FederatedSensor
-
-        engine = FederatedSensor(
-            trainer.directory, config, n_shards=args.shards, registry=registry
-        )
-    else:
-        engine = SensorEngine(trainer.directory, config, registry=registry)
-    # Reuse the span-trained classify stage.
-    engine.fit_from(trainer)
-
     every = max(0, args.metrics_every)
     since_snapshot = 0
 
     def report(sensed) -> None:
-        # Window-close hook (engine.on_window): fires with a
-        # SensedWindow (single engine) or FederatedWindow (--shards).
+        # Window-close hook (engine.on_window), one SensedWindow each.
         nonlocal since_snapshot
-        window = getattr(sensed, "window", sensed)
-        originators = (
-            len(window) if hasattr(window, "__len__") else window.originators
-        )
+        window = sensed.window
         verdicts = sorted(sensed.verdicts, key=lambda v: -v.footprint)
         print(
             f"window [{window.start:.0f}, {window.end:.0f}): "
-            f"{originators} originators, {len(sensed.features)} analyzable"
+            f"{len(window)} originators, {len(sensed.features)} analyzable"
         )
         for verdict in verdicts[: args.top]:
             print(
@@ -409,17 +376,17 @@ def _classify_stream(
             _write_snapshot(args, registry)
             since_snapshot = 0
 
-    unsubscribe = engine.on_window(report)
     chunk = max(1, args.chunk)
-    try:
+    with sensor_for(
+        trainer.directory, config, shards=args.shards, registry=registry
+    ) as engine:
+        # Reuse the span-trained classify stage.
+        engine.fit_from(trainer)
+        engine.on_window(report)
         for offset in range(0, len(entries), chunk):
             engine.ingest_block(entries[offset : offset + chunk])
             engine.poll()
         engine.finish()
-    finally:
-        unsubscribe()
-        if hasattr(engine, "close"):
-            engine.close()
     print()
     print(engine.format_accounting())
     _write_snapshot(args, registry)

@@ -16,6 +16,7 @@ import numpy as np
 from repro.analysis.longitudinal import WindowedAnalysis, analyze_dataset
 from repro.datasets.generate import GeneratedDataset, get_dataset
 from repro.datasets.specs import spec_for
+from repro.federation import sensor_for
 from repro.ml.validation import LabelEncoder
 from repro.sensor.collection import ObservationWindow
 from repro.sensor.curation import LabeledSet
@@ -160,30 +161,17 @@ def labeled_features(name: str, preset: str = "default") -> LabeledFeatures:
         return _FEATURE_CACHE[key]
     dataset = get_dataset(name, preset)
     config = sensor_config(name, preset)
-    shards = federation_shards()
     # Replay the sensor log in columnar form: the block path is array
     # math end to end and bit-identical to per-object ingestion.  With
     # REPRO_SHARDS > 1 the same replay runs federated (also
     # bit-identical; see repro.federation).
-    if shards > 1:
-        from repro.federation import FederatedSensor
-
-        with FederatedSensor(
-            dataset.directory(), config, n_shards=shards
-        ) as federated:
-            sensed = federated.process(
-                dataset.sensor.log.block(),
-                0.0,
-                config.window_seconds,
-                classify=False,
-            )
-            features = sensed[0].features
-    else:
-        engine = SensorEngine(dataset.directory(), config)
+    with sensor_for(
+        dataset.directory(), config, shards=federation_shards()
+    ) as engine:
         sensed = engine.process(
             dataset.sensor.log.block(), 0.0, config.window_seconds, classify=False
         )
-        features = sensed[0].features
+    features = sensed[0].features
     truth = dataset.true_classes()
     keep = np.array([int(o) in truth for o in features.originators], dtype=bool)
     names = [truth[int(o)] for o in features.originators[keep]]

@@ -12,21 +12,30 @@ one judgement.
 
 Entry points:
 
-* :class:`FederatedSensor` — the driver; ``process`` (batch) or
-  ``ingest_block``/``poll``/``finish`` (streaming), ``--shards N`` on the
-  CLI.
+* :func:`sensor_for` — the engine for a shard count (``--shards N`` on
+  the CLI): a plain ``SensorEngine`` for 1, a :class:`FederatedSensor`
+  above.  Callers hold one type either way.
+* :class:`FederatedSensor` — a ``SensorEngine`` subclass that swaps the
+  two window-global stages: its collector is a :class:`ShardedCollector`
+  (its windows are :class:`ShardedWindow` objects) and ``featurize``
+  merges shard rows under the merged context.
 * :func:`fuse_verdicts` / :class:`FusedOriginator` — cross-vantage
   verdict fusion.
 * :func:`shard_of` / :func:`partition_arrays` — the deterministic
   originator → shard hash partition.
-* :class:`ReorderFront` — the driver-owned accept/release front that
-  resolves stream disorder once, globally.
+* :class:`ReorderFront` — the accept/release front that resolves stream
+  disorder once, globally (owned by the sharded collector).
 * :class:`ShardWorker` / :class:`ShardPool` — the per-shard pipeline and
   its process fan-out (building blocks; most callers want
-  :class:`FederatedSensor`).
+  :func:`sensor_for`).
 """
 
-from repro.federation.driver import FederatedSensor, FederatedWindow
+from repro.federation.driver import (
+    FederatedSensor,
+    ShardedCollector,
+    ShardedWindow,
+    sensor_for,
+)
 from repro.federation.fusion import FusedOriginator, fuse_verdicts
 from repro.federation.merge import merge_rows, merged_context
 from repro.federation.partition import (
@@ -39,7 +48,9 @@ from repro.federation.shard import ShardPool, ShardRows, ShardWorker, WindowSumm
 
 __all__ = [
     "FederatedSensor",
-    "FederatedWindow",
+    "ShardedCollector",
+    "ShardedWindow",
+    "sensor_for",
     "FusedOriginator",
     "fuse_verdicts",
     "merge_rows",

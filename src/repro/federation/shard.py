@@ -1,30 +1,32 @@
 """Shard-side worker: one originator partition's full sensing pipeline.
 
 A :class:`ShardWorker` owns a :class:`~repro.sensor.engine.SensorEngine`
-configured with ``reorder_slack=0`` (the driver's
-:class:`~repro.federation.partition.ReorderFront` resolves reordering
+configured with ``reorder_slack=0`` (the
+:class:`~repro.federation.driver.ShardedCollector`'s
+:class:`~repro.sensor.reorder.ReorderFront` resolves reordering
 globally) and ``featurize_workers=1`` (the federation's parallelism *is*
-the shard fan-out).  It exposes exactly the calls the driver's two-phase
-window protocol needs:
+the shard fan-out).  It exposes exactly the calls the two overridden
+stages of :class:`~repro.federation.driver.FederatedSensor` need:
 
-1. **feed/close** — ingest released arrays, advance to the global
-   watermark, and return a :class:`WindowSummary` per newly closed
-   window: the shard's querier roster, AS set, and country-name set,
-   which the driver unions into the merged
+1. **feed/close** (window stage) — ingest released arrays, advance to
+   the global watermark, and return a :class:`WindowSummary` per newly
+   closed window: the shard's querier roster, AS set, and country-name
+   set, which ``featurize`` unions into the merged
    :class:`~repro.sensor.dynamic.WindowContext`.  (Country *names* are
    exchanged, not the enrichment cache's interned codes — codes are
    cache-local and mean nothing across processes.)
 2. **featurize** — select + featurize the stored partial window under
-   the merged context the driver broadcasts back, returning the rows as
+   the merged context broadcast back, returning the rows as
    :class:`ShardRows`.  Because every feature row depends only on its
    own observation plus the shared context, shard rows are bit-identical
    to the rows a single engine computes for the same originators.
 
 Process fan-out mirrors the featurize-workers pattern: one single-worker
-fork-context executor per shard, the worker object inherited through
-fork (never pickled), tasks shipping only flat arrays and index/context
-tuples.  :class:`ShardPool` falls back to inline (same-process) workers
-where fork is unavailable; results are identical either way.
+fork-context executor per shard, forked when the pool is built, the
+worker object inherited through fork (never pickled), tasks shipping a
+method name plus flat arrays and index/context tuples.  :class:`ShardPool`
+falls back to inline (same-process) workers where fork is unavailable;
+results are identical either way.
 """
 
 from __future__ import annotations
@@ -63,8 +65,6 @@ class WindowSummary:
     """Sorted distinct known ASNs over those addresses."""
     countries: list[str] = field(default_factory=list)
     """Sorted distinct country names over those addresses."""
-    sketch_seen: int = 0
-    """``prestage.originators_seen`` (0 when running exact)."""
 
 
 @dataclass(slots=True)
@@ -80,7 +80,6 @@ class ShardRows:
     select_out: int
     rows: int
     seconds: float
-    sketch: dict | None = None
 
 
 class ShardWorker:
@@ -135,10 +134,10 @@ class ShardWorker:
 
     def feed_and_advance(
         self,
-        timestamps: np.ndarray | None,
-        queriers: np.ndarray | None,
-        originators: np.ndarray | None,
-        watermark: float | None,
+        timestamps: np.ndarray,
+        queriers: np.ndarray,
+        originators: np.ndarray,
+        watermark: float,
     ) -> tuple[list[WindowSummary], int, float]:
         """Ingest released arrays, then close windows at the global watermark.
 
@@ -147,10 +146,9 @@ class ShardWorker:
         """
         started = time.perf_counter()
         collector = self.engine.collector
-        if timestamps is not None and len(timestamps):
+        if len(timestamps):
             collector.ingest_arrays(timestamps, queriers, originators)
-        if watermark is not None:
-            collector.advance_watermark(watermark)
+        collector.advance_watermark(watermark)
         summaries = self._store_completed(collector.completed_windows())
         return summaries, collector.stats.deduplicated, time.perf_counter() - started
 
@@ -163,31 +161,16 @@ class ShardWorker:
 
     # -- featurize ------------------------------------------------------
 
-    def featurize_window(
-        self, index: int, context_fields: tuple[float, float, int, int, int]
-    ) -> ShardRows:
+    def featurize_window(self, index: int, context: WindowContext) -> ShardRows:
         """Select + featurize a stored window under the merged context."""
         started = time.perf_counter()
         window = self._windows.pop(index)
-        context = WindowContext(*context_fields)
         selected = analyzable(window, self.config.min_queriers)
         prestage = window.prestage
         items_in = len(window) if prestage is None else prestage.originators_seen
         features = features_from_selected(
             window, selected, self.directory, workers=1, context=context
         )
-        sketch = None
-        if prestage is not None:
-            sketch = {
-                "originators_seen": prestage.originators_seen,
-                "gate_kept": prestage.gate_kept,
-                "gate_dropped": prestage.gate_dropped,
-                "events_unique": prestage.events_unique,
-                "events_duplicate": prestage.events_duplicate,
-                "events_deferred": prestage.events_deferred,
-                "resolver_wholesale": prestage.resolver_wholesale,
-                "resolver_replayed": prestage.resolver_replayed,
-            }
         return ShardRows(
             shard=self.shard_id,
             index=index,
@@ -198,7 +181,6 @@ class ShardWorker:
             select_out=len(selected),
             rows=len(features),
             seconds=time.perf_counter() - started,
-            sketch=sketch,
         )
 
     # -- internals ------------------------------------------------------
@@ -234,9 +216,6 @@ class ShardWorker:
             addrs=addrs,
             asns=asns,
             countries=countries,
-            sketch_seen=(
-                window.prestage.originators_seen if window.prestage is not None else 0
-            ),
         )
 
     def _context_partial(
@@ -274,33 +253,9 @@ def _init_shard(worker: ShardWorker) -> None:
     _SHARD = worker
 
 
-def _task_run_batch(args: tuple) -> tuple:
-    assert _SHARD is not None
-    return _SHARD.run_batch(*args)
-
-
-def _task_feed_and_advance(args: tuple) -> tuple:
-    assert _SHARD is not None
-    return _SHARD.feed_and_advance(*args)
-
-
-def _task_finish(args: tuple) -> tuple:
-    assert _SHARD is not None
-    del args
-    return _SHARD.finish()
-
-
-def _task_featurize(args: tuple) -> ShardRows:
-    assert _SHARD is not None
-    return _SHARD.featurize_window(*args)
-
-
-_TASKS = {
-    "run_batch": _task_run_batch,
-    "feed_and_advance": _task_feed_and_advance,
-    "finish": _task_finish,
-    "featurize_window": _task_featurize,
-}
+def _call_shard(method: str, args: tuple) -> object:
+    """Run one :class:`ShardWorker` method in the shard's own process."""
+    return getattr(_SHARD, method)(*args)
 
 
 class _Immediate:
@@ -343,6 +298,12 @@ class ShardPool:
                     )
                     for worker in self.workers
                 ]
+                # Fork now, on the constructing thread: started at first
+                # use, a worker would fork from whichever thread feeds
+                # the sensor — the service's pump, under a running event
+                # loop with its listening sockets open.
+                for executor in self._executors:
+                    executor.submit(int).result()
 
     @property
     def inline(self) -> bool:
@@ -352,7 +313,7 @@ class ShardPool:
     def submit(self, shard: int, method: str, args: tuple) -> "Future | _Immediate":
         if self._executors is None:
             return _Immediate(getattr(self.workers[shard], method)(*args))
-        return self._executors[shard].submit(_TASKS[method], args)
+        return self._executors[shard].submit(_call_shard, method, args)
 
     def close(self) -> None:
         if self._executors is not None:

@@ -48,12 +48,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
 from repro.dnssim.message import QueryLogEntry
-from repro.logstore import EntryBlock
+from repro.logstore import EntryBlock, blocks_from_entries
 from repro.ml.forest import ForestConfig, RandomForestClassifier
 from repro.ml.validation import (
     Classifier,
@@ -64,10 +64,10 @@ from repro.ml.validation import (
 from repro.sensor.collection import DEDUP_WINDOW_SECONDS, ObservationWindow
 from repro.sensor.curation import LabeledSet
 from repro.sensor.directory import QuerierDirectory
-from repro.sensor.dynamic import WindowContext
 from repro.sensor.features import FeatureSet, features_from_selected
 from repro.sensor.selection import ANALYZABLE_THRESHOLD, analyzable
 from repro.sensor.streaming import StreamingCollector, StreamingStats
+from repro.sensor.training import labeled_rows
 from repro.sketch.prestage import SketchParams, SketchPreStage
 from repro.telemetry import (
     MetricsRegistry,
@@ -78,6 +78,9 @@ from repro.telemetry import (
     span,
     use_registry,
 )
+
+if TYPE_CHECKING:
+    from repro.federation.driver import ShardedWindow
 
 __all__ = [
     "SECONDS_PER_DAY",
@@ -252,7 +255,10 @@ class ClassifiedOriginator:
 class SensedWindow:
     """One observation interval after every engine stage that applies."""
 
-    window: ObservationWindow
+    window: "ObservationWindow | ShardedWindow"
+    """The interval sensed; from a sharded engine, a
+    :class:`repro.federation.ShardedWindow` (same ``start`` / ``end`` /
+    ``len``, the observations stay in the shards)."""
     features: FeatureSet | None = None
     verdicts: list[ClassifiedOriginator] = field(default_factory=list)
     telemetry: dict[str, object] | None = None
@@ -337,6 +343,22 @@ class SensorEngine:
         for callback in list(self._window_callbacks):
             callback(sensed)
 
+    # -- lifecycle ------------------------------------------------------
+
+    def close(self) -> None:
+        """Release worker processes (idempotent).
+
+        A single engine has none; a sharded one
+        (:class:`repro.federation.FederatedSensor`) reaps its shards.
+        The trained classify stage and the accounting stay readable.
+        """
+
+    def __enter__(self) -> "SensorEngine":
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        self.close()
+
     # -- telemetry ------------------------------------------------------
 
     def _scope(self):
@@ -379,6 +401,22 @@ class SensorEngine:
         if seconds > 0.0:
             observe("repro_stage_seconds", seconds,
                     help="Wall time per unit of stage work.", stage=name)
+
+    def _record_select(self, items_in: int, kept: int, seconds: float = 0.0) -> None:
+        """One select-stage pass: the stage ledger plus its outcome counter."""
+        self._record_stage(
+            "select",
+            items_in=items_in,
+            items_out=kept,
+            dropped=items_in - kept,
+            seconds=seconds,
+        )
+        if get_registry() is not None:
+            help_select = "Originators through the select stage, by outcome."
+            count("repro_select_originators_total", kept,
+                  help=help_select, result="kept")
+            count("repro_select_originators_total", items_in - kept,
+                  help=help_select, result="dropped")
 
     def _emit_sketch_metrics(self, prestage, selected) -> None:
         """Publish one window's pre-stage counters (registry in scope)."""
@@ -442,20 +480,20 @@ class SensorEngine:
 
         A convenience for examples and tests, not a feed path: see
         :meth:`~repro.sensor.streaming.StreamingCollector.ingest`.
+        """
+        self.ingest_many((entry,))
+
+    def ingest_many(self, entries: Iterable[QueryLogEntry]) -> None:
+        """Feed a chunk of live entries (streaming path), as blocks.
 
         Feed time — validation, dedup, and windowing work triggered by
-        the entry's arrival — is ingest-stage time; window-stage time is
+        the entries' arrival — is ingest-stage time; window-stage time is
         only accrued when windows are closed (:meth:`poll` /
         :meth:`finish`), so no wall second is counted twice.
         """
         with self._scope(), span("stage.ingest") as sp:
-            self.collector.ingest(entry)
-        self.stats["ingest"].seconds += sp.elapsed
-
-    def ingest_many(self, entries: Iterable[QueryLogEntry]) -> None:
-        """Feed a chunk of live entries (streaming path), as blocks."""
-        with self._scope(), span("stage.ingest") as sp:
-            self.collector.ingest_many(entries)
+            for block in blocks_from_entries(entries):
+                self.collector.ingest_block(block)
         self.stats["ingest"].seconds += sp.elapsed
 
     def ingest_block(self, block: EntryBlock) -> None:
@@ -552,18 +590,42 @@ class SensorEngine:
 
     # -- batch adapters -------------------------------------------------
 
-    @staticmethod
-    def _block_in_range(block: EntryBlock, start: float, end: float) -> EntryBlock:
-        """In-range sub-block, order-validated before any state is built.
+    def _block_in_range(
+        self,
+        entries: Sequence[QueryLogEntry] | Iterable[QueryLogEntry] | EntryBlock,
+        start: float,
+        end: float,
+    ) -> tuple[int, EntryBlock]:
+        """Batch input as (events offered, the in-range sub-block).
 
-        Only the entries inside ``[start, end)`` must be time-ordered,
-        and a failed validation raises before the collector sees
-        anything.
+        Order-validated before any state is built: only the entries
+        inside ``[start, end)`` must be time-ordered, and a failed
+        validation raises before a collector sees anything.
         """
-        sub = block.slice_time(start, end)
+        if not isinstance(entries, EntryBlock):
+            entries = EntryBlock.from_entries(entries)
+        sub = entries.slice_time(start, end)
         if not sub.is_sorted:
             raise ValueError("entries are not time-ordered")
-        return sub
+        self._emit_block_metrics(sub, path="batch")
+        return len(entries), sub
+
+    def _window_grid(
+        self, start: float, end: float, window_seconds: float | None
+    ) -> tuple[float, list[tuple[int, float, float]]]:
+        """Validated batch geometry: the window width (default: the
+        config's) and ``(index, start, end)`` of every window covering
+        ``[start, end)``, the last one clipped to *end*."""
+        if end <= start:
+            raise ValueError("end must be after start")
+        width = self.config.window_seconds if window_seconds is None else window_seconds
+        if width <= 0:
+            raise ValueError("window_seconds must be positive")
+        grid: list[tuple[int, float, float]] = []
+        while start < end:
+            grid.append((len(grid), start, min(start + width, end)))
+            start = start + width
+        return width, grid
 
     def windows(
         self,
@@ -588,11 +650,7 @@ class SensorEngine:
         survivor events reach the collector, so survivor observations —
         and their feature rows — are bit-identical to the exact run.
         """
-        if end <= start:
-            raise ValueError("end must be after start")
-        width = self.config.window_seconds if window_seconds is None else window_seconds
-        if width <= 0:
-            raise ValueError("window_seconds must be positive")
+        width, grid = self._window_grid(start, end, window_seconds)
         sketch = self.config.sketch_enabled
         collector = StreamingCollector(
             window_seconds=width,
@@ -613,11 +671,8 @@ class SensorEngine:
             # time — each wall second lands in exactly one stage.  Sketch
             # mode feeds survivors only, after the gate, as window time.
             with span("stage.ingest") as ingest_span:
-                if not isinstance(entries, EntryBlock):
-                    entries = EntryBlock.from_entries(entries)
-                sub = self._block_in_range(entries, start, end)
+                offered, sub = self._block_in_range(entries, start, end)
                 accepted = len(sub)
-                self._emit_block_metrics(sub, path="batch")
                 if not sketch:
                     feed(sub)
             prestages: dict[int, SketchPreStage] = {}
@@ -634,26 +689,19 @@ class SensorEngine:
                     for window in collector.flush()
                 }
                 windows: list[ObservationWindow] = []
-                index = 0
-                window_start = start
-                while window_start < end:
-                    window_end = min(window_start + width, end)
-                    window = emitted.get(
-                        index, ObservationWindow(start=window_start, end=window_end)
-                    )
-                    window.end = window_end
+                for index, lo, hi in grid:
+                    window = emitted.get(index, ObservationWindow(start=lo, end=hi))
+                    window.end = hi
                     prestage = prestages.get(index)
                     if prestage is not None:
                         window.prestage = prestage
                         window.querier_roster = prestage.roster_array()
                     windows.append(window)
-                    index += 1
-                    window_start = window_start + width
             self._record_stage(
                 "ingest",
-                items_in=len(entries),
+                items_in=offered,
                 items_out=accepted,
-                dropped=len(entries) - accepted,
+                dropped=offered - accepted,
                 seconds=ingest_span.elapsed,
             )
             if sketch:
@@ -724,9 +772,7 @@ class SensorEngine:
 
     # -- select + featurize ---------------------------------------------
 
-    def featurize(
-        self, window: ObservationWindow, context: WindowContext | None = None
-    ) -> FeatureSet:
+    def featurize(self, window: ObservationWindow) -> FeatureSet:
         """Select analyzable originators and extract their features.
 
         Runs serial (vectorized + window-scoped enrichment cache) by
@@ -734,10 +780,6 @@ class SensorEngine:
         over a process pool, bit-identical to serial.  Observations whose
         queriers all deduplicated away are skipped and accounted as
         featurize-stage drops rather than raising out of :meth:`poll`.
-
-        An explicit *context* overrides the window-derived normalizers —
-        the federated path passes the merged window's context so shard
-        rows match a single engine's bit for bit.
         """
         if self.directory is None:
             raise RuntimeError("engine has no querier directory to featurize with")
@@ -749,26 +791,13 @@ class SensorEngine:
             # sketch summarized, not just the gate survivors the window
             # materialized — account for the approximately-gated ones too.
             items_in = len(window) if prestage is None else prestage.originators_seen
-            self._record_stage(
-                "select",
-                items_in=items_in,
-                items_out=len(selected),
-                dropped=items_in - len(selected),
-                seconds=select_span.elapsed,
-            )
-            if get_registry() is not None:
-                help_select = "Originators through the select stage, by outcome."
-                count("repro_select_originators_total", len(selected),
-                      help=help_select, result="kept")
-                count("repro_select_originators_total", items_in - len(selected),
-                      help=help_select, result="dropped")
-                if prestage is not None:
-                    self._emit_sketch_metrics(prestage, selected)
+            self._record_select(items_in, len(selected), select_span.elapsed)
+            if prestage is not None and get_registry() is not None:
+                self._emit_sketch_metrics(prestage, selected)
             with span("stage.featurize") as featurize_span:
                 features = features_from_selected(
                     window, selected, self.directory,
                     workers=self.config.featurize_workers,
-                    context=context,
                 )
             self._record_stage(
                 "featurize",
@@ -785,21 +814,10 @@ class SensorEngine:
         self, features: FeatureSet, labeled: LabeledSet
     ) -> tuple[np.ndarray, np.ndarray, list[int]]:
         """Feature rows and encoded labels for labeled originators present."""
-        rows: list[np.ndarray] = []
-        labels: list[str] = []
-        used: list[int] = []
-        for example in labeled:
-            row = features.row_of(example.originator)
-            if row is None:
-                continue
-            rows.append(row)
-            labels.append(example.app_class)
-            used.append(example.originator)
-        if not rows:
+        X, y, used = labeled_rows(features, labeled, self.encoder)
+        if not used:
             raise ValueError("no labeled originators appear in the features")
-        for name in labels:
-            self.encoder.add(name)
-        return np.stack(rows), self.encoder.encode(labels), used
+        return X, y, used
 
     def fit(self, features: FeatureSet, labeled: LabeledSet) -> "SensorEngine":
         """Train the classify stage on the labeled originators present."""

@@ -82,9 +82,6 @@ class ServiceConfig:
     shards: int = 1
     """Engine fan-out: 1 = single :class:`SensorEngine`, >1 = federated."""
 
-    shard_processes: bool = True
-    """Process-pool (vs thread) workers for the federated engine."""
-
     retrain: Strategy | str | None = None
     """Online retraining strategy between windows; ``None`` = train once
     up front and never swap.  Accepts a :class:`Strategy`, its value

@@ -28,7 +28,7 @@ from repro.ml.validation import (
     fit_majority_vote,
 )
 from repro.sensor.curation import LabeledSet
-from repro.sensor.engine import default_forest_factory
+from repro.sensor.engine import SensedWindow, default_forest_factory
 from repro.sensor.training import Strategy, enough_to_train, labeled_rows
 
 __all__ = ["ModelManager", "TrainedModel"]
@@ -99,7 +99,7 @@ class ModelManager:
 
     # -- candidate production -------------------------------------------
 
-    def observe_window(self, sensed: object) -> str:
+    def observe_window(self, sensed: SensedWindow) -> str:
         """Feed one closed window; maybe start a background fit.
 
         Returns ``"scheduled"``, ``"skipped"`` (a fit is still running —
@@ -108,11 +108,11 @@ class ModelManager:
         """
         if not self.active:
             return "none"
-        features = getattr(sensed, "features", None)
+        features = sensed.features
         if features is None or len(features.originators) == 0:
             return "none"
         if self.strategy is Strategy.AUTO_GROW:
-            verdicts = getattr(sensed, "verdicts", [])
+            verdicts = sensed.verdicts
             if not verdicts:
                 return "none"
             labels = LabeledSet.from_pairs(
@@ -123,7 +123,7 @@ class ModelManager:
         if self._pending is not None and not self._pending.done():
             self.fits_skipped += 1
             return "skipped"
-        end = float(getattr(getattr(sensed, "window", sensed), "end", 0.0))
+        end = float(sensed.window.end)
         version = self.version + 1
         self.fits_started += 1
         self._pending = self._ensure_executor().submit(

@@ -7,9 +7,10 @@ long-running asyncio process that
 * accepts a live query-log feed — a line/``.rbsc`` socket listener, a
   tailed file, or the in-process :meth:`~BackscatterService.submit_block`
   API — decoded incrementally by :class:`~repro.service.FeedReader`;
-* drives :class:`~repro.sensor.engine.SensorEngine` (or a sharded
-  :class:`~repro.federation.FederatedSensor`) streaming ingest behind
-  the global watermark, one block at a time, on a single pump task;
+* drives one :class:`~repro.sensor.engine.SensorEngine` — whichever
+  :func:`repro.federation.sensor_for` builds for the configured shard
+  count — streaming ingest behind the global watermark, one block at a
+  time, on a single pump task;
 * at each window close emits verdicts, updates
   :class:`~repro.analysis.alerts.SurgeDetector` baselines, and feeds
   the :class:`~repro.service.ModelManager` retraining loop;
@@ -34,9 +35,9 @@ from collections import deque
 from typing import TYPE_CHECKING
 
 from repro.analysis.alerts import SurgeDetector
-from repro.federation import FederatedSensor
+from repro.federation import sensor_for
 from repro.netmodel.addressing import ip_to_str
-from repro.sensor.engine import SECONDS_PER_DAY, SensorEngine
+from repro.sensor.engine import SECONDS_PER_DAY, SensedWindow, SensorEngine
 from repro.sensor.training import Strategy
 from repro.service.config import ServiceConfig
 from repro.service.feed import FeedReader
@@ -72,18 +73,12 @@ class BackscatterService:
     ) -> None:
         self.config = config or ServiceConfig()
         self.registry = registry if registry is not None else MetricsRegistry()
-        if self.config.shards > 1:
-            self.engine: "SensorEngine | FederatedSensor" = FederatedSensor(
-                directory,
-                self.config.sensor,
-                n_shards=self.config.shards,
-                registry=self.registry,
-                processes=self.config.shard_processes,
-            )
-        else:
-            self.engine = SensorEngine(
-                directory, self.config.sensor, registry=self.registry
-            )
+        self.engine = sensor_for(
+            directory,
+            self.config.sensor,
+            shards=self.config.shards,
+            registry=self.registry,
+        )
         self.manager: ModelManager | None = None
         self._unsubscribes = [self.engine.on_window(self._handle_window)]
         if self.config.on_window is not None:
@@ -252,9 +247,7 @@ class BackscatterService:
         await self._http.stop()
         if self.manager is not None:
             self.manager.close()
-        close = getattr(self.engine, "close", None)
-        if close is not None:
-            close()
+        self.engine.close()
         self._started = False
         return self
 
@@ -316,10 +309,9 @@ class BackscatterService:
 
     # -- window close ---------------------------------------------------
 
-    def _handle_window(self, sensed: object) -> None:
-        bounds = getattr(sensed, "window", sensed)
-        start, end = float(bounds.start), float(bounds.end)
-        verdicts = list(getattr(sensed, "verdicts", []))
+    def _handle_window(self, sensed: SensedWindow) -> None:
+        start, end = float(sensed.window.start), float(sensed.window.end)
+        verdicts = sensed.verdicts
         self.verdicts_total += len(verdicts)
         self._last_window_end = end
         record = {

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 
 import pytest
 
@@ -341,6 +342,43 @@ class TestSketchFlags:
         ))
         assert code == 0
         assert "originators" in capsys.readouterr().out
+
+
+class TestShardsFlag:
+    """``--shards N`` forks real workers and prints what one engine prints."""
+
+    def _argv(self, generated, *extra):
+        return [
+            "classify",
+            "-l", str(generated / "B-post-ditl.npz"),
+            "-d", str(generated / "B-post-ditl.queriers.jsonl"),
+            "-t", str(generated / "B-post-ditl.labels.json"),
+            "--min-queriers", "5",
+            "--top", "5",
+            *extra,
+        ]
+
+    def _classify(self, generated, capsys, *extra):
+        assert main(self._argv(generated, *extra)) == 0
+        # The accounting table's last column is wall time.
+        return re.sub(r"\d+\.\d{3}$", "S.SSS", capsys.readouterr().out, flags=re.M)
+
+    @pytest.mark.parametrize("sketch", [(), ("--sketch",)], ids=["exact", "sketch"])
+    def test_batch_stats_match_single_engine(self, generated, capsys, sketch):
+        single = self._classify(generated, capsys, "--stats", "--shards", "1", *sketch)
+        assert "featurize" in single and "S.SSS" in single
+        sharded = self._classify(generated, capsys, "--stats", "--shards", "2", *sketch)
+        assert sharded == single
+
+    def test_stream_matches_single_engine(self, generated, capsys):
+        stream = ("--stream", "--window", "21600")
+        single = self._classify(generated, capsys, *stream, "--shards", "1")
+        assert single.count("window [") > 1 and "S.SSS" in single
+        assert self._classify(generated, capsys, *stream, "--shards", "2") == single
+
+    def test_zero_shards_is_an_error(self, generated, capsys):
+        assert main(self._argv(generated, "--shards", "0")) == 1
+        assert "--shards must be positive" in capsys.readouterr().err
 
 
 class TestSketchEnvOverrides:

@@ -23,6 +23,7 @@ from repro.federation import (
     fuse_verdicts,
     note_first_appearance,
     partition_arrays,
+    sensor_for,
     shard_of,
 )
 from repro.logstore import EntryBlock
@@ -177,7 +178,9 @@ class TestBatchEquivalence:
             merged = federated.process(entries, 0.0, 300.0, classify=False)
             assert len(merged) == len(expected) == 3
             for got, want in zip(merged, expected):
-                assert (got.start, got.end) == (want.window.start, want.window.end)
+                assert (got.window.start, got.window.end) == (
+                    want.window.start, want.window.end
+                )
                 assert_windows_match(got, want)
             assert stats_snapshot(federated.accounting()) == stats_snapshot(
                 engine.accounting()
@@ -297,7 +300,9 @@ class TestStreamingEquivalence:
             merged = self._stream(federated, block)
             assert len(merged) == len(expected) > 0
             for got, want in zip(merged, expected):
-                assert (got.start, got.end) == (want.window.start, want.window.end)
+                assert (got.window.start, got.window.end) == (
+                    want.window.start, want.window.end
+                )
                 assert_windows_match(got, want)
             assert stats_snapshot(federated.accounting()) == stats_snapshot(
                 engine.accounting()
@@ -433,11 +438,76 @@ class TestProcessPool:
             federated.process(synthetic_entries(windows=1), 0.0, 100.0)
             federated.accounting()
         names = set(registry.names())
-        assert "repro_federation_blocks_total" in names
+        assert "repro_ingest_blocks_total" in names
         assert "repro_federation_events_total" in names
-        assert "repro_federation_windows_total" in names
+        assert "repro_windows_sensed_total" in names
         assert "repro_federation_rows_total" in names
         assert "repro_stage_items_total" in names
+
+    def test_sharded_stream_publishes_what_a_single_engine_does(self):
+        # Regression: the driver's own copy of the engine's accounting
+        # published none of the ingest / stream / window / select series
+        # and its windows carried no telemetry.
+        directory = directory_for(range(100, 140))
+        config = SensorConfig(window_seconds=100.0, min_queriers=3, reorder_slack=2.0)
+        block = EntryBlock.from_entries(synthetic_entries())
+        # Neighbours swapped (reordering) and one strictly-late event, so
+        # every repro_stream_*_total counter has something to count.
+        swapped = np.arange(len(block) & ~1) ^ 1
+        block = EntryBlock.from_arrays(
+            np.append(block.timestamps[swapped], 0.5),
+            np.append(block.queriers[swapped], 100),
+            np.append(block.originators[swapped], 1),
+        )
+
+        def run(sensor):
+            sensed = []
+            for lo in range(0, len(block), 400):
+                sensor.ingest_block(block[lo : lo + 400])
+                sensed += sensor.poll(classify=False)
+            sensed += sensor.finish(classify=False)
+            sensor.accounting()
+            return sensed, sensor.registry.snapshot()
+
+        single, want = run(SensorEngine(directory, config, registry=MetricsRegistry()))
+        with FederatedSensor(
+            directory, config, n_shards=2, processes=False, registry=MetricsRegistry()
+        ) as federated:
+            sharded, got = run(federated)
+        assert set(want) <= set(got)
+        counted = [
+            name
+            for name in want
+            if name.startswith("repro_stream_") and name.endswith("_total")
+        ] + [
+            "repro_stage_items_total",
+            "repro_ingest_block_events_total",
+            "repro_windows_sensed_total",
+            "repro_select_originators_total",
+        ]
+        assert len(counted) == 8
+        for name in counted:
+            assert got[name]["series"] == want[name]["series"], name
+        assert len(sharded) == len(single) == 3
+        for g, w in zip(sharded, single):
+            assert set(g.telemetry) == set(w.telemetry)
+            assert set(g.telemetry["seconds"]) == set(w.telemetry["seconds"])
+            for key in ("originators", "selected", "featurized", "verdicts"):
+                assert g.telemetry[key] == w.telemetry[key], key
+
+    def test_sensor_for_picks_the_class_by_shard_count(self):
+        directory = directory_for(range(100, 102))
+        single = sensor_for(directory, shards=1)
+        assert type(single) is SensorEngine
+        sharded = sensor_for(directory, SensorConfig(window_seconds=50.0), shards=2)
+        assert type(sharded) is FederatedSensor and sharded.n_shards == 2
+        assert sharded.config.window_seconds == 50.0
+        for sensor in (single, sharded):
+            with sensor as entered:
+                assert entered is sensor
+            sensor.close()  # idempotent
+        with pytest.raises(ValueError):
+            sensor_for(directory, shards=0)
 
     def test_invalid_construction(self):
         directory = directory_for(range(100, 102))

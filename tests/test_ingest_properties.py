@@ -305,7 +305,9 @@ class TestNonFiniteTimestamps:
         got, got_stats = run(bad)
         assert len(got) == len(want) == 3
         for g, w in zip(got, want):
-            assert (g.start, g.end, g.originators) == (w.start, w.end, w.originators)
+            assert (g.window.start, g.window.end, len(g.window)) == (
+                w.window.start, w.window.end, len(w.window)
+            )
             assert np.array_equal(g.features.originators, w.features.originators)
             assert np.array_equal(g.features.matrix, w.features.matrix)
         ingest, ingest_clean = got_stats[0], want_stats[0]

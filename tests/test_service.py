@@ -281,7 +281,7 @@ class TestOnWindowHook:
             federated.finish()
         assert len(seen) == 3
         assert all(w.verdicts for w in seen)
-        assert all(hasattr(w, "shard_rows") for w in seen)
+        assert all(isinstance(w, SensedWindow) for w in seen)
 
 
 class _Recorder:

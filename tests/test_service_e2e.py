@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import re
 import struct
 import threading
 
@@ -339,24 +340,29 @@ class TestServeCli:
         from repro.cli import main
 
         log_path, dir_path, labels_path = serialized_world
-        code = main(
-            [
-                "serve",
-                "-l", str(log_path),
-                "-d", str(dir_path),
-                "-t", str(labels_path),
-                "--port", "0",
-                "--window", "100",
-                "--min-queriers", "3",
-                "--chunk", "400",
-                "--retrain", "daily",
-                "--once",
-            ]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "serving http on 127.0.0.1:" in out
-        assert "served 3 windows" in out
+        served = []
+        for shards in ("1", "2"):
+            code = main(
+                [
+                    "serve",
+                    "-l", str(log_path),
+                    "-d", str(dir_path),
+                    "-t", str(labels_path),
+                    "--port", "0",
+                    "--window", "100",
+                    "--min-queriers", "3",
+                    "--chunk", "400",
+                    "--retrain", "daily",
+                    "--once",
+                    "--shards", shards,
+                ]
+            )
+            out = capsys.readouterr().out
+            assert code == 0
+            assert "serving http on 127.0.0.1:" in out
+            served.append(re.search(r"served 3 windows, \d+ verdicts", out))
+        # Forked shard workers or one engine: same windows, same verdicts.
+        assert served[0] and served[1] and served[1][0] == served[0][0]
 
 
 class _CountingFactory:
@@ -406,13 +412,13 @@ class TestPredictOnlyClose:
             service = BackscatterService(
                 directory,
                 ServiceConfig(
-                    port=0, sensor=config, shards=shards, shard_processes=False,
+                    port=0, sensor=config, shards=shards,
                     retrain="daily", retrain_min_per_class=2, retrain_min_total=4,
                     on_window=sensed_windows.append,
                 ),
             )
             service.fit_from(trainer, labeled=labeled)
-            merge = getattr(service.engine, "_merge_engine", service.engine)
+            merge = service.engine
             adopt = merge.adopt_training
 
             def recording_adopt(X, y, encoder):
