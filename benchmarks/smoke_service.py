@@ -138,7 +138,7 @@ def main() -> int:
 
             status, body = http_json(port, "/metrics")
             assert status == 200, f"/metrics -> {status}"
-            required = [b"repro_service_windows_total"]
+            required = [b"repro_service_windows_total", b"repro_service_pump_steps_total"]
             if args.shards > 1:
                 required += [b"repro_ingest_blocks_total", b"repro_federation_events_total"]
             for name in required:

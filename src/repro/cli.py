@@ -468,7 +468,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         chunk = max(1, args.chunk)
         for offset in range(0, len(entries), chunk):
             service.submit_block(entries[offset : offset + chunk])
-        await service.drain()
+            # The pump batches whatever is queued; draining per block
+            # keeps --chunk meaning "events per replay step".
+            await service.drain()
         print(f"replayed {len(entries):,} events "
               f"({service.windows_total} windows closed)", flush=True)
         if args.once:
@@ -682,7 +684,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--chunk",
         type=int,
         default=5000,
-        help="entries submitted to the service per feed chunk",
+        help="events per start-up replay step (one pump step each)",
     )
     serve.add_argument(
         "--shards",

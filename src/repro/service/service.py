@@ -20,14 +20,19 @@ long-running asyncio process that
 
 The hot-swap guarantee: models are fitted off the pump task (thread
 executor) and installed by :meth:`ModelManager.apply_pending` only
-*between* blocks; since a window is classified exactly once, at close,
+*between* steps; since a window is classified exactly once, at close,
 inside ``poll()``, every window's verdicts come from one complete model
 and no event is dropped while models change.
+
+A step that raises (a bad ``on_window`` hook, say) is logged and counted,
+``/healthz`` turns ``"degraded"``, and the pump carries on with the next
+step: one failure must not wedge ``drain()``/``stop()``.
 """
 
 from __future__ import annotations
 
 import asyncio
+import logging
 import math
 import threading
 from collections import Counter as TallyCounter
@@ -36,6 +41,7 @@ from typing import TYPE_CHECKING
 
 from repro.analysis.alerts import SurgeDetector
 from repro.federation import sensor_for
+from repro.logstore.block import DEFAULT_CHUNK_EVENTS, concat_blocks
 from repro.netmodel.addressing import ip_to_str
 from repro.sensor.engine import SECONDS_PER_DAY, SensedWindow, SensorEngine
 from repro.sensor.training import Strategy
@@ -52,6 +58,8 @@ if TYPE_CHECKING:
     from repro.sensor.features import FeatureSet
 
 __all__ = ["BackscatterService"]
+
+_LOG = logging.getLogger(__name__)
 
 
 class BackscatterService:
@@ -96,12 +104,16 @@ class BackscatterService:
         # handlers read on the loop; this lock covers the shared records.
         self._state_lock = threading.Lock()
         self._windows: deque[dict] = deque(maxlen=self.config.verdict_history)
-        self._alerts: list[dict] = []
+        self._alerts: deque[dict] = deque(maxlen=self.config.verdict_history)
         # (windows_total it was encoded at, the /verdicts response)
         self._verdicts_cache: tuple[int, tuple[int, str, bytes]] | None = None
         self.windows_total = 0
         self.events_total = 0
         self.verdicts_total = 0
+        self.alerts_total = 0
+        self.queued_events = 0
+        self.step_errors = 0
+        self.last_step_error: str | None = None
         self.swap_outcomes: TallyCounter[str] = TallyCounter()
         self._newest_ts: float | None = None
         self._last_window_end: float | None = None
@@ -243,7 +255,7 @@ class BackscatterService:
         if self.manager is not None:
             self.manager.wait_pending()
             self._record_swap(self.manager.apply_pending(self.engine))
-        await asyncio.get_running_loop().run_in_executor(None, self.engine.finish)
+        await self._run_step(self.engine.finish)
         await self._http.stop()
         if self.manager is not None:
             self.manager.close()
@@ -257,19 +269,46 @@ class BackscatterService:
         """Queue one decoded block for the pump (in-process feed API)."""
         if self._queue is None:
             raise RuntimeError("service not started")
+        self.queued_events += len(block)
         self._queue.put_nowait(block)
 
     async def _pump(self) -> None:
-        assert self._queue is not None
-        loop = asyncio.get_running_loop()
+        queue = self._queue
+        assert queue is not None
         while True:
-            block = await self._queue.get()
+            # One step takes everything already queued (the collector is
+            # chunk-invariant), so per-step cost is paid per backlog, not
+            # per block the transport happened to deliver.
+            blocks = [await queue.get()]
+            held = len(blocks[0])
+            while held < DEFAULT_CHUNK_EVENTS and not queue.empty():
+                blocks.append(queue.get_nowait())
+                held += len(blocks[-1])
+            self.queued_events -= held
+            self._count("repro_service_pump_steps_total", 1,
+                        help="Engine steps taken by the pump.")
+            self._count("repro_service_pump_blocks_total", len(blocks),
+                        help="Feed blocks taken by the pump (÷ steps = batching).")
+            self._gauge("repro_service_queue_events", self.queued_events,
+                        help="Events still queued when the last step began.")
             try:
-                # Engine work is CPU-bound numpy; run it off the loop so
-                # HTTP stays responsive under large blocks.
-                await loop.run_in_executor(None, self._step, block)
+                await self._run_step(self._step, concat_blocks(blocks))
             finally:
-                self._queue.task_done()
+                for _ in blocks:
+                    queue.task_done()
+
+    async def _run_step(self, step, *args) -> None:
+        """Run one engine step off the loop; a raising step is counted, not fatal."""
+        try:
+            # Engine work is CPU-bound numpy; run it off the loop so
+            # HTTP stays responsive under large blocks.
+            await asyncio.get_running_loop().run_in_executor(None, step, *args)
+        except Exception as exc:
+            _LOG.exception("engine step failed; the pump continues")
+            self.step_errors += 1
+            self.last_step_error = repr(exc)
+            self._count("repro_service_step_errors_total", 1,
+                        help="Engine steps that raised.")
 
     def _step(self, block: "EntryBlock") -> None:
         if self.manager is not None:
@@ -303,9 +342,8 @@ class BackscatterService:
         closed = self._last_window_end
         origin = self.config.sensor.origin
         lag = self._newest_ts - (closed if closed is not None else origin or 0.0)
-        with use_registry(self.registry):
-            set_gauge("repro_service_feed_lag_seconds", max(0.0, lag),
-                      help="Newest feed timestamp minus last closed window end.")
+        self._gauge("repro_service_feed_lag_seconds", max(0.0, lag),
+                    help="Newest feed timestamp minus last closed window end.")
 
     # -- window close ---------------------------------------------------
 
@@ -342,6 +380,7 @@ class BackscatterService:
                 alert = detector.update(mid_day, tallies.get(app_class, 0))
                 if alert is not None:
                     with self._state_lock:
+                        self.alerts_total += 1
                         self._alerts.append(
                             {
                                 "day": alert.day,
@@ -412,7 +451,7 @@ class BackscatterService:
         return self._verdicts_cache[1]
 
     def alerts(self) -> list[dict]:
-        """Every surge alert raised so far (the ``/alerts`` body)."""
+        """The newest ``verdict_history`` surge alerts (the ``/alerts`` body)."""
         with self._state_lock:
             return list(self._alerts)
 
@@ -422,11 +461,14 @@ class BackscatterService:
         if self._newest_ts is not None and self._last_window_end is not None:
             lag = max(0.0, self._newest_ts - self._last_window_end)
         return {
-            "status": "ok",
+            "status": "degraded" if self.step_errors else "ok",
+            "step_errors": self.step_errors,
+            "last_step_error": self.last_step_error,
+            "queued_events": self.queued_events,
             "windows": self.windows_total,
             "events": self.events_total,
             "verdicts": self.verdicts_total,
-            "alerts": len(self._alerts),
+            "alerts": self.alerts_total,
             "model_version": self.model_version,
             "retrain": self.config.retrain.value if self.config.retrain else None,
             "swaps": dict(self.swap_outcomes),
@@ -441,3 +483,7 @@ class BackscatterService:
     def _count(self, name: str, amount: float, help: str = "", **labels) -> None:
         with use_registry(self.registry):
             count(name, amount, help=help, **labels)
+
+    def _gauge(self, name: str, value: float, help: str = "") -> None:
+        with use_registry(self.registry):
+            set_gauge(name, value, help=help)

@@ -451,6 +451,28 @@ class TestAlertWiring:
         assert len(service.windows()) == 8
         assert service.windows()[-1]["verdicts"][0]["app_class"] == "scan"
 
+    def test_alert_history_is_bounded_but_the_count_is_not(self):
+        classes = ("scan", "dns", "spam")
+        config = ServiceConfig(
+            port=0, verdict_history=2, alert_classes=classes, alert_window=6
+        )
+        service = BackscatterService(None, config)
+
+        def window(w, per_class):
+            verdicts = [
+                ClassifiedOriginator(100 * k + o, app_class, 10)
+                for k, app_class in enumerate(classes)
+                for o in range(per_class)
+            ]
+            return _sensed(w * 100.0, (w + 1) * 100.0, verdicts)
+
+        for w in range(6):
+            service._handle_window(window(w, 4))
+        service._handle_window(window(6, 20))  # all three classes surge at once
+        # /alerts keeps the newest verdict_history; /healthz the true total.
+        assert [a["app_class"] for a in service.alerts()] == ["dns", "spam"]
+        assert service.health()["alerts"] == 3
+
     def test_extra_on_window_callback_runs(self):
         seen = []
         config = ServiceConfig(port=0, on_window=seen.append)

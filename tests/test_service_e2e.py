@@ -465,3 +465,212 @@ class TestPredictOnlyClose:
             assert [v["app_class"] for v in record["verdicts"]] == [
                 v.app_class for v in sensed.verdicts
             ]
+
+
+def _counter(service, name: str, **labels) -> float:
+    instrument = service.registry.get(name)
+    return 0.0 if instrument is None else instrument.value(**labels)
+
+
+def _serve(directory, config, trainer, blocks, *, drain_each, shards=1):
+    """Push *blocks* through a service; ``drain_each`` = one step per block."""
+
+    async def run():
+        service = BackscatterService(
+            directory, ServiceConfig(port=0, sensor=config, shards=shards)
+        )
+        service.fit_from(trainer)
+        await service.start()
+        for block in blocks:
+            service.submit_block(block)
+            if drain_each:
+                await service.drain()
+        await service.drain()
+        assert service.health()["queued_events"] == 0
+        await service.stop()
+        return service
+
+    return asyncio.run(run())
+
+
+def _locally_shuffled(block: EntryBlock) -> EntryBlock:
+    """Same events, reversed inside each 1.5 s bucket (inside the 2 s slack)."""
+    ts = block.timestamps
+    order = np.lexsort((-ts, np.floor(ts / 1.5)))
+    return EntryBlock(block.data[order])
+
+
+class TestNaturalBatching:
+    """The pump steps on what is queued; what it emits does not depend on it.
+
+    ``submit_block`` is synchronous, so blocks submitted before the first
+    ``await`` are all queued when the pump wakes: no sleeps, no timing.
+    """
+
+    @pytest.mark.parametrize(
+        "shards,shuffle", [(1, False), (2, False), (1, True)]
+    )
+    def test_queued_burst_matches_one_step_per_block(self, shards, shuffle):
+        directory, config, trainer, _, block = trained_world()
+        blocks = [block[lo : lo + 97] for lo in range(0, len(block), 97)]
+        if shuffle:
+            blocks = [_locally_shuffled(b) for b in blocks]
+        stepped = _serve(directory, config, trainer, blocks, drain_each=True, shards=shards)
+        burst = _serve(directory, config, trainer, blocks, drain_each=False, shards=shards)
+        assert len(burst.windows()) == 3
+        assert burst.windows() == stepped.windows()
+        for key in ("events", "windows", "verdicts"):
+            assert burst.health()[key] == stepped.health()[key]
+        assert burst.engine.collector.stats == stepped.engine.collector.stats
+        assert (burst.engine.collector.stats.reordered > 0) == shuffle
+        # The two runs differ only in how many steps they took.
+        assert _counter(stepped, "repro_service_pump_steps_total") == len(blocks)
+        assert _counter(burst, "repro_service_pump_steps_total") == 1
+        for service in (stepped, burst):
+            assert _counter(service, "repro_service_pump_blocks_total") == len(blocks)
+
+    @staticmethod
+    def _flood(n_blocks: int, per_block: int):
+        """Queue *n_blocks* at once on an untrained service; return what the pump did."""
+        n = n_blocks * per_block
+        rng = np.random.default_rng(3)
+        block = EntryBlock.from_arrays(
+            np.sort(rng.uniform(0.0, 250.0, n)),
+            rng.integers(1, 6, n),
+            rng.integers(1, 400, n),
+        )
+
+        async def run():
+            service = BackscatterService(
+                None, ServiceConfig(port=0, sensor=SensorConfig(window_seconds=WIDTH))
+            )
+            sizes = []
+            step = service._step
+
+            def recording_step(joined):
+                sizes.append(len(joined))
+                step(joined)
+
+            service._step = recording_step
+            await service.start()
+            for lo in range(0, n, per_block):
+                service.submit_block(block[lo : lo + per_block])
+            assert service.health()["queued_events"] == n
+            await asyncio.wait_for(service.drain(), 60.0)
+            assert service._queue.qsize() == 0
+            health = service.health()
+            await service.stop()
+            return service, sizes, health
+
+        return asyncio.run(run())
+
+    def test_step_size_is_bounded_and_every_block_is_accounted(self):
+        from repro.logstore.block import DEFAULT_CHUNK_EVENTS
+
+        n_blocks, per_block = 70, 2000
+        service, sizes, health = self._flood(n_blocks, per_block)
+        events = n_blocks * per_block
+        assert sum(sizes) == health["events"] == events
+        assert health["queued_events"] == 0 and health["status"] == "ok"
+        assert max(sizes) < DEFAULT_CHUNK_EVENTS + per_block
+        steps = _counter(service, "repro_ingest_blocks_total", path="stream")
+        assert 1 <= steps <= -(-events // DEFAULT_CHUNK_EVENTS) + 1
+        assert steps == len(sizes) == _counter(service, "repro_service_pump_steps_total")
+        assert _counter(service, "repro_service_pump_blocks_total") == n_blocks
+
+    def test_trickle_of_tiny_blocks_drains_in_a_few_steps(self):
+        _, sizes, health = self._flood(2000, 25)
+        assert len(sizes) <= 3
+        assert health["events"] == 50_000 and health["windows"] == 2
+
+    def test_retrain_daily_under_a_burst_keeps_one_model_per_window(self):
+        directory, config, trainer, labeled, _ = trained_world()
+        block = EntryBlock.from_entries(synthetic_entries(windows=7))
+        cut = int(np.searchsorted(block.timestamps, 4 * WIDTH))
+        bursts = [
+            [part[lo : lo + 97] for lo in range(0, len(part), 97)]
+            for part in (block[:cut], block[cut:])
+        ]
+        sensed_windows = []
+        models = {0: (trainer._train_X, trainer._train_y, trainer.encoder)}
+
+        async def run():
+            service = BackscatterService(
+                directory,
+                ServiceConfig(
+                    port=0, sensor=config, retrain="daily",
+                    retrain_min_per_class=2, retrain_min_total=4,
+                    on_window=sensed_windows.append,
+                ),
+            )
+            service.fit_from(trainer, labeled=labeled)
+            adopt = service.engine.adopt_training
+
+            def recording_adopt(X, y, encoder):
+                models[service.manager.version + 1] = (X, y, encoder)
+                return adopt(X, y, encoder)
+
+            service.engine.adopt_training = recording_adopt
+            await service.start()
+            loop = asyncio.get_running_loop()
+            for burst in bursts:
+                for part in burst:
+                    service.submit_block(part)
+                await service.drain()
+                await loop.run_in_executor(None, service.manager.wait_pending)
+            await service.stop()
+            return service
+
+        service = asyncio.run(run())
+        assert _counter(service, "repro_service_pump_steps_total") == len(bursts)
+        assert "failed" not in service.swap_outcomes
+        assert service.swap_outcomes["swapped"] >= 1
+        records = service.windows()
+        versions = [r["model_version"] for r in records]
+        assert len(records) == 7 and versions == sorted(versions)
+        assert versions[0] == 0 and versions[-1] >= 1
+        # Each window's verdicts are what the one version it names predicts.
+        for record, sensed in zip(records, sensed_windows):
+            fresh = SensorEngine(directory, config)
+            fresh.adopt_training(*models[record["model_version"]])
+            assert fresh.classify(sensed.features) == sensed.verdicts
+
+
+class TestRaisingStep:
+    def test_pump_survives_a_raising_hook_and_drain_returns(self):
+        directory, config, trainer, _, _ = trained_world()
+        block = EntryBlock.from_entries(synthetic_entries(windows=5))
+        cut = int(np.searchsorted(block.timestamps, 3 * WIDTH))
+
+        def hook(sensed):
+            raise RuntimeError("hook exploded")
+
+        async def run():
+            service = BackscatterService(
+                directory, ServiceConfig(port=0, sensor=config, on_window=hook)
+            )
+            service.fit_from(trainer)
+            await service.start()
+            for lo in range(0, cut, 50):
+                service.submit_block(block[lo : min(lo + 50, cut)])
+            # At the parent the pump task died here and join() never returned.
+            await asyncio.wait_for(service.drain(), 10.0)
+            assert not service._pump_task.done()
+            first = service.health()
+            service.submit_block(block[cut:])
+            await asyncio.wait_for(service.drain(), 10.0)
+            host, port = service.http_address
+            status, body = await http_get(host, port, "/healthz")
+            await asyncio.wait_for(service.stop(), 10.0)
+            return service, first, status, json.loads(body)
+
+        service, first, status, health = asyncio.run(run())
+        assert first["status"] == "degraded" and first["step_errors"] == 1
+        assert first["queued_events"] == 0
+        assert status == 200 and health["status"] == "degraded"
+        assert health["step_errors"] == 2 and health["events"] == len(block)
+        assert "hook exploded" in health["last_step_error"]
+        # stop()'s final flush hit the hook too, and still unwound.
+        assert service.step_errors == 3
+        assert _counter(service, "repro_service_step_errors_total") == 3
+        assert service.http_address is None
