@@ -1,18 +1,16 @@
-"""Featurization benchmark: serial vs. cached vs. parallel rows/s.
+"""Featurization benchmark: serial vs. cached rows/s.
 
 Generates a B-long window (the paper's week-long BINY vantage), runs the
-featurize stage three ways, and writes ``BENCH_featurize.json``:
+featurize stage two ways, and writes ``BENCH_featurize.json``:
 
 * **serial** — the scalar reference path with no shared cache: every
   call re-resolves its queriers through the directory, equivalent to the
   pre-vectorization per-originator loop;
-* **cached** — :func:`features_from_selected` with ``workers=1``: one
-  window-scoped :class:`EnrichmentCache` plus vectorized array math;
-* **parallel** — the same with ``--workers`` processes (fork fan-out).
+* **cached** — :func:`features_from_selected`: one window-scoped
+  :class:`EnrichmentCache` plus vectorized array math.
 
-Each mode reports rows/s from the best of ``--rounds`` runs, and the
-parallel matrix is checked bit-identical against the cached one.  A
-fourth measurement re-runs the cached mode with a live
+Each mode reports rows/s from the best of ``--rounds`` runs.  A third
+measurement re-runs the cached mode with a live
 :class:`repro.telemetry.MetricsRegistry` installed and reports the
 overhead of active telemetry (``--assert-overhead PCT`` turns it into
 a pass/fail gate; ``--metrics-out`` writes the collected snapshot).
@@ -68,7 +66,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--quick", action="store_true", help="shorthand for --preset tiny --rounds 2"
     )
-    parser.add_argument("--workers", type=int, default=4, help="parallel worker count")
     parser.add_argument("--rounds", type=int, default=3, help="best-of rounds per mode")
     parser.add_argument(
         "-o", "--output", default="BENCH_featurize.json", help="output JSON path"
@@ -120,21 +117,12 @@ def main(argv: list[str] | None = None) -> int:
         )
 
     def run_cached() -> np.ndarray:
-        return features_from_selected(window, selected, directory, workers=1).matrix
-
-    def run_parallel() -> np.ndarray:
-        return features_from_selected(
-            window, selected, directory, workers=args.workers
-        ).matrix
+        return features_from_selected(window, selected, directory).matrix
 
     rows = len(selected)
     modes: dict[str, dict[str, float]] = {}
     matrices: dict[str, np.ndarray] = {}
-    for name, run in (
-        ("serial", run_serial),
-        ("cached", run_cached),
-        ("parallel", run_parallel),
-    ):
+    for name, run in (("serial", run_serial), ("cached", run_cached)):
         seconds, matrix = _best_of(args.rounds, run)
         matrices[name] = matrix
         modes[name] = {
@@ -143,8 +131,6 @@ def main(argv: list[str] | None = None) -> int:
         }
         print(f"{name:>8}: {seconds:.3f}s  {rows / seconds:,.0f} rows/s", flush=True)
 
-    identical = bool(np.array_equal(matrices["cached"], matrices["parallel"]))
-
     # Telemetry overhead: the cached mode again, now with a registry
     # installed so every span/observe hook does real work.  Best-of-N
     # on both sides keeps scheduler noise out of the comparison.
@@ -152,9 +138,7 @@ def main(argv: list[str] | None = None) -> int:
 
     def run_cached_live() -> np.ndarray:
         with use_registry(registry):
-            return features_from_selected(
-                window, selected, directory, workers=1
-            ).matrix
+            return features_from_selected(window, selected, directory).matrix
 
     overhead_rounds = max(args.rounds, 5)
     base_seconds, _ = _best_of(overhead_rounds, run_cached)
@@ -183,24 +167,16 @@ def main(argv: list[str] | None = None) -> int:
         "rows": rows,
         "distinct_queriers": len(queriers),
         "window_seconds": config.window_seconds,
-        "workers": args.workers,
         "rounds": args.rounds,
         "cpu_count": os.cpu_count(),
         "modes": modes,
         "speedup_cached_vs_serial": round(
             modes["serial"]["seconds"] / modes["cached"]["seconds"], 2
         ),
-        "speedup_parallel_vs_serial": round(
-            modes["serial"]["seconds"] / modes["parallel"]["seconds"], 2
-        ),
-        "parallel_bit_identical": identical,
         "telemetry_overhead_pct": round(overhead_pct, 2),
     }
     Path(args.output).write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {args.output}")
-    if not identical:
-        print("parallel output differs from serial!", file=sys.stderr)
-        return 1
     if args.assert_overhead is not None and overhead_pct > args.assert_overhead:
         print(
             f"telemetry overhead {overhead_pct:.2f}% exceeds the "

@@ -24,21 +24,20 @@ Subcommands:
 binary, anything else as the text format — and replay it through the
 array-native ingest plane as one :class:`~repro.logstore.EntryBlock`.
 
-The work-shaping flags are uniform across subcommands: ``--workers``
-fans the featurize stage out over processes wherever featurization
-happens, and ``--metrics-out PATH`` (with ``--metrics-format``)
-installs a :class:`repro.telemetry.MetricsRegistry` over the run and
-writes a snapshot when it finishes — Prometheus text or JSON lines.
+The telemetry flags are uniform across subcommands: ``--metrics-out
+PATH`` (with ``--metrics-format``) installs a
+:class:`repro.telemetry.MetricsRegistry` over the run and writes a
+snapshot when it finishes — Prometheus text or JSON lines.
 ``repro classify --stream --metrics-every N`` additionally snapshots
 every N sensed windows, the live-deployment cadence.  ``repro classify
 --sketch`` (with ``--sketch-width`` / ``--hll-precision``) runs the
 constant-memory probabilistic pre-select stage in both batch and
-``--stream`` modes.  ``repro classify --shards N`` federates the run
-across N originator-partitioned shard engines
-(:mod:`repro.federation`; output is bit-identical to a single engine),
-and ``--vantage NAME=LOG`` (repeatable, batch-only) classifies extra
-vantage logs with the same trained stage and prints verdicts fused
-across vantages.
+``--stream`` modes.  ``--shards N`` (``classify`` and ``serve``) is the
+one way to use more than one core: it federates the run across N
+originator-partitioned shard engines (:mod:`repro.federation`; output is
+bit-identical to a single engine).  ``--vantage NAME=LOG`` (repeatable,
+batch-only) classifies extra vantage logs with the same trained stage
+and prints verdicts fused across vantages.
 """
 
 from __future__ import annotations
@@ -62,17 +61,6 @@ __all__ = ["main"]
 
 
 # -- shared option groups -------------------------------------------------
-
-
-def add_workers_option(parser: argparse.ArgumentParser) -> None:
-    """The featurize fan-out knob, identical on every subcommand."""
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="featurize worker processes (1 = serial; results are "
-        "bit-identical either way)",
-    )
 
 
 def add_sketch_options(parser: argparse.ArgumentParser) -> None:
@@ -109,6 +97,18 @@ def _sketch_overrides(args: argparse.Namespace) -> dict:
         "sketch_width": args.sketch_width,
         "hll_precision": args.hll_precision,
     }
+
+
+def _sensor_config(args: argparse.Namespace, origin: float, window_seconds: float):
+    """The :class:`SensorConfig` the ``classify`` / ``serve`` flags spell."""
+    from repro.sensor import SensorConfig
+
+    return SensorConfig(
+        window_seconds=window_seconds,
+        origin=origin,
+        min_queriers=args.min_queriers,
+        **_sketch_overrides(args),
+    )
 
 
 def add_metrics_options(
@@ -217,13 +217,71 @@ def _parse_vantages(args: argparse.Namespace) -> list[tuple[str, str]] | None:
     return vantages
 
 
-def _cmd_classify(args: argparse.Namespace) -> int:
+def _shape_ok(args: argparse.Namespace, windowed: bool) -> bool:
+    """Check ``--shards`` / ``--window`` before any I/O; complain if bad."""
+    if args.shards < 1:
+        complaint = "--shards must be positive"
+    elif windowed and args.window <= 0:
+        complaint = "--window must be positive"
+    else:
+        return True
+    print(complaint, file=sys.stderr)
+    return False
+
+
+def _train_on_span(
+    args: argparse.Namespace,
+    start: float | None = None,
+    end: float | None = None,
+    announce: bool = False,
+):
+    """The prelude ``classify`` and ``serve`` share: load, sense, train.
+
+    Loads the log, directory and labels, senses the whole span as one
+    batch window and fits the classify stage on the labeled originators
+    in it.  Returns ``(entries, start, trainer, features, present)`` —
+    the trainer's registry is the run's — or None after printing the
+    one-line reason (the caller exits 1).
+    """
     from repro.datasets import read_directory
     from repro.federation import sensor_for
-    from repro.sensor import LabeledSet, SensorConfig
+    from repro.sensor import LabeledSet
 
-    if args.shards < 1:
-        print("--shards must be positive", file=sys.stderr)
+    entries = _load_log(args.log)
+    if not entries:
+        print("log is empty", file=sys.stderr)
+        return None
+    directory = read_directory(args.directory)
+    start = entries[0].timestamp if start is None else start
+    end = entries[-1].timestamp + 1.0 if end is None else end
+    raw_labels = json.loads(Path(args.labels).read_text())
+    labeled = LabeledSet.from_pairs(
+        (str_to_ip(addr), app_class) for addr, app_class in raw_labels.items()
+    )
+    # Only the sensing needs the shard workers; the trained stage
+    # outlives them.
+    with sensor_for(
+        directory,
+        _sensor_config(args, start, end - start),
+        shards=args.shards,
+        registry=_registry_for(args),
+    ) as trainer:
+        features = trainer.featurize(trainer.collect(entries, start, end))
+    if announce:
+        # Every originator the select stage saw — in sketch mode the
+        # pre-stage's count, not just the gate survivors a window materializes.
+        observed = trainer.stats["select"].items_in
+        print(f"{observed} originators observed, {len(features)} analyzable")
+    present = labeled.restrict_to({int(o) for o in features.originators})
+    if len(present) < 4:
+        print("too few labeled originators appear in the log", file=sys.stderr)
+        return None
+    trainer.fit(features, present)
+    return entries, start, trainer, features, present
+
+
+def _cmd_classify(args: argparse.Namespace) -> int:
+    if not _shape_ok(args, windowed=args.stream):
         return 1
     vantages = _parse_vantages(args)
     if vantages is None:
@@ -231,44 +289,14 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     if vantages and args.stream:
         print("--vantage fusion is batch-only (drop --stream)", file=sys.stderr)
         return 1
-    entries = _load_log(args.log)
-    if not entries:
-        print("log is empty", file=sys.stderr)
+    trained = _train_on_span(args, args.start, args.end, announce=True)
+    if trained is None:
         return 1
-    directory = read_directory(args.directory)
-    start = entries[0].timestamp if args.start is None else args.start
-    end = entries[-1].timestamp + 1.0 if args.end is None else args.end
-    raw_labels = json.loads(Path(args.labels).read_text())
-    labeled = LabeledSet.from_pairs(
-        (str_to_ip(addr), app_class) for addr, app_class in raw_labels.items()
-    )
-    registry = _registry_for(args)
-
-    # Train the classify stage on the full span (one batch window); only
-    # the sensing needs the shard workers, the trained stage outlives them.
-    config = SensorConfig(
-        window_seconds=end - start,
-        origin=start,
-        min_queriers=args.min_queriers,
-        featurize_workers=args.workers,
-        **_sketch_overrides(args),
-    )
-    with sensor_for(
-        directory, config, shards=args.shards, registry=registry
-    ) as trainer:
-        features = trainer.featurize(trainer.collect(entries, start, end))
-    # Every originator the select stage saw — in sketch mode the
-    # pre-stage's count, not just the gate survivors a window materializes.
-    observed = trainer.stats["select"].items_in
-    print(f"{observed} originators observed, {len(features)} analyzable")
-    present = labeled.restrict_to({int(o) for o in features.originators})
-    if len(present) < 4:
-        print("too few labeled originators appear in the log", file=sys.stderr)
-        return 1
-    trainer.fit(features, present)
+    entries, start, trainer, features, _ = trained
+    registry = trainer.registry
 
     if args.stream:
-        return _classify_stream(args, trainer, registry, entries, start, end)
+        return _classify_stream(args, trainer, entries, start)
 
     verdicts = sorted(trainer.classify(features), key=lambda v: -v.footprint)
     print(f"{'originator':<16} {'queriers':>8}  class")
@@ -335,25 +363,13 @@ def _classify_vantages(
 def _classify_stream(
     args: argparse.Namespace,
     trainer,
-    registry: MetricsRegistry | None,
     entries,
     start: float,
-    end: float,
 ) -> int:
     """Replay the log through the streaming path, window by window."""
     from repro.federation import sensor_for
-    from repro.sensor import SensorConfig
 
-    if args.window <= 0:
-        print("--window must be positive", file=sys.stderr)
-        return 1
-    config = SensorConfig(
-        window_seconds=args.window,
-        origin=start,
-        min_queriers=args.min_queriers,
-        featurize_workers=args.workers,
-        **_sketch_overrides(args),
-    )
+    registry = trainer.registry
     every = max(0, args.metrics_every)
     since_snapshot = 0
 
@@ -378,7 +394,10 @@ def _classify_stream(
 
     chunk = max(1, args.chunk)
     with sensor_for(
-        trainer.directory, config, shards=args.shards, registry=registry
+        trainer.directory,
+        _sensor_config(args, start, args.window),
+        shards=args.shards,
+        registry=registry,
     ) as engine:
         # Reuse the span-trained classify stage.
         engine.fit_from(trainer)
@@ -398,60 +417,28 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
     import signal
 
-    from repro.datasets import read_directory
-    from repro.sensor import LabeledSet, SensorConfig, SensorEngine
     from repro.service import BackscatterService, ServiceConfig
 
-    if args.window <= 0:
-        print("--window must be positive", file=sys.stderr)
+    if not _shape_ok(args, windowed=True):
         return 1
-    entries = _load_log(args.log)
-    if not entries:
-        print("log is empty", file=sys.stderr)
+    try:
+        config = ServiceConfig(
+            host=args.host,
+            port=args.port,
+            feed_port=args.feed_port,
+            shards=args.shards,
+            retrain=None if args.retrain == "off" else args.retrain,
+        )
+    except ValueError as exc:  # e.g. a port out of range
+        print(exc, file=sys.stderr)
         return 1
-    directory = read_directory(args.directory)
-    start = entries[0].timestamp
-    end = entries[-1].timestamp + 1.0
-    raw_labels = json.loads(Path(args.labels).read_text())
-    labeled = LabeledSet.from_pairs(
-        (str_to_ip(addr), app_class) for addr, app_class in raw_labels.items()
-    )
-    registry = _registry_for(args)
-
-    # Train the initial model on the full span, exactly like classify.
-    trainer = SensorEngine(
-        directory,
-        SensorConfig(
-            window_seconds=end - start,
-            origin=start,
-            min_queriers=args.min_queriers,
-            featurize_workers=args.workers,
-            **_sketch_overrides(args),
-        ),
-        registry=registry,
-    )
-    features = trainer.featurize(trainer.collect(entries, start, end))
-    present = labeled.restrict_to({int(o) for o in features.originators})
-    if len(present) < 4:
-        print("too few labeled originators appear in the log", file=sys.stderr)
+    trained = _train_on_span(args)
+    if trained is None:
         return 1
-    trainer.fit(features, present)
-
-    config = ServiceConfig(
-        sensor=SensorConfig(
-            window_seconds=args.window,
-            origin=start,
-            min_queriers=args.min_queriers,
-            featurize_workers=args.workers,
-            **_sketch_overrides(args),
-        ),
-        host=args.host,
-        port=args.port,
-        feed_port=args.feed_port,
-        shards=args.shards,
-        retrain=None if args.retrain == "off" else args.retrain,
-    )
-    service = BackscatterService(directory, config, registry=registry)
+    entries, start, trainer, _, present = trained
+    registry = trainer.registry
+    config = config.replaced(sensor=_sensor_config(args, start, args.window))
+    service = BackscatterService(trainer.directory, config, registry=registry)
     service.fit_from(trainer, labeled=present)
 
     async def run() -> None:
@@ -530,8 +517,6 @@ def _cmd_convert(args: argparse.Namespace) -> int:
 def _cmd_figures(args: argparse.Namespace) -> int:
     from repro.viz import render_all
 
-    if args.workers > 1:
-        os.environ["REPRO_FEATURIZE_WORKERS"] = str(args.workers)
     registry = _registry_for(args)
     with use_registry(registry):
         written = render_all(args.output, preset=args.preset)
@@ -544,12 +529,8 @@ def _cmd_figures(args: argparse.Namespace) -> int:
 def _cmd_experiments(args: argparse.Namespace) -> int:
     from repro.experiments.__main__ import main as experiments_main
 
-    # The experiment modules share in-process caches keyed by dataset,
-    # not by knob, so the work-shaping flags travel as the environment
-    # variables the harness already reads (REPRO_FEATURIZE_WORKERS,
-    # REPRO_METRICS_OUT / REPRO_METRICS_FORMAT).
-    if args.workers > 1:
-        os.environ["REPRO_FEATURIZE_WORKERS"] = str(args.workers)
+    # The harness has its own argv; the snapshot path travels as the
+    # environment variables it reads.
     if args.metrics_out:
         os.environ["REPRO_METRICS_OUT"] = args.metrics_out
         if args.metrics_format:
@@ -623,7 +604,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(batch only)",
     )
     add_sketch_options(classify)
-    add_workers_option(classify)
     add_metrics_options(classify, streaming=True)
     classify.set_defaults(func=_cmd_classify)
 
@@ -643,7 +623,6 @@ def build_parser() -> argparse.ArgumentParser:
     figures = commands.add_parser("figures", help="render paper figures as SVG")
     figures.add_argument("-o", "--output", default="figures")
     figures.add_argument("--preset", default="default", choices=("default", "tiny"))
-    add_workers_option(figures)
     add_metrics_options(figures)
     figures.set_defaults(func=_cmd_figures)
 
@@ -700,7 +679,6 @@ def build_parser() -> argparse.ArgumentParser:
         "until SIGTERM (smoke tests)",
     )
     add_sketch_options(serve)
-    add_workers_option(serve)
     add_metrics_options(serve)
     serve.set_defaults(func=_cmd_serve)
 
@@ -708,7 +686,6 @@ def build_parser() -> argparse.ArgumentParser:
     experiments.add_argument("names", nargs="*", help="experiment names")
     experiments.add_argument("--list", action="store_true")
     experiments.add_argument("--all-cheap", action="store_true")
-    add_workers_option(experiments)
     add_metrics_options(experiments)
     experiments.set_defaults(func=_cmd_experiments)
     return parser

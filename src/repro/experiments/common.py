@@ -8,7 +8,6 @@ each dataset exactly once.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +15,6 @@ import numpy as np
 from repro.analysis.longitudinal import WindowedAnalysis, analyze_dataset
 from repro.datasets.generate import GeneratedDataset, get_dataset
 from repro.datasets.specs import spec_for
-from repro.federation import sensor_for
 from repro.ml.validation import LabelEncoder
 from repro.sensor.collection import ObservationWindow
 from repro.sensor.curation import LabeledSet
@@ -26,9 +24,6 @@ from repro.sensor.features import FeatureSet
 __all__ = [
     "LabeledFeatures",
     "sensor_config",
-    "featurize_workers",
-    "federation_shards",
-    "sketch_overrides",
     "labeled_features",
     "windowed",
     "format_rows",
@@ -89,64 +84,8 @@ def sensor_config(name: str, preset: str = "default", **overrides) -> SensorConf
     config = SensorConfig(
         window_seconds=window_days * SECONDS_PER_DAY,
         min_queriers=MIN_QUERIERS.get(name, 20),
-        featurize_workers=featurize_workers(),
-        **sketch_overrides(),
     )
     return config.replaced(**overrides) if overrides else config
-
-
-def featurize_workers() -> int:
-    """Featurize worker-process count, from ``REPRO_FEATURIZE_WORKERS``.
-
-    Experiments run many windows back to back, so the knob is an
-    environment variable rather than a per-experiment argument; results
-    are bit-identical regardless of the value.  Unset or invalid → 1
-    (serial).
-    """
-    try:
-        return max(1, int(os.environ.get("REPRO_FEATURIZE_WORKERS", "1")))
-    except ValueError:
-        return 1
-
-
-def _env_int(name: str, default: int) -> int:
-    try:
-        return int(os.environ.get(name, default))
-    except ValueError:
-        return default
-
-
-def federation_shards() -> int:
-    """Shard count for federated sensing, from ``REPRO_SHARDS``.
-
-    With a value > 1 the experiment cache-builders run their batch
-    sensing through a :class:`repro.federation.FederatedSensor` instead
-    of a single engine; results are bit-identical either way, so — like
-    the other work-shaping knobs — it travels as an environment variable
-    rather than a cache key.  Unset or invalid → 1 (single engine).
-    """
-    return max(1, _env_int("REPRO_SHARDS", 1))
-
-
-def sketch_overrides() -> dict:
-    """Sketch pre-stage knobs from the environment, as config overrides.
-
-    ``REPRO_SKETCH=1`` enables the probabilistic pre-select stage for
-    every experiment-built :class:`SensorConfig`;
-    ``REPRO_SKETCH_WIDTH`` / ``REPRO_SKETCH_DEPTH`` /
-    ``REPRO_SKETCH_HLL_PRECISION`` tune its geometry.  Like
-    ``REPRO_FEATURIZE_WORKERS``, these travel as environment variables
-    because the experiment caches are keyed by dataset, not by knob.
-    Unset (or ``REPRO_SKETCH`` falsy) → no overrides.
-    """
-    if os.environ.get("REPRO_SKETCH", "").lower() not in ("1", "true", "yes", "on"):
-        return {}
-    return {
-        "sketch_enabled": True,
-        "sketch_width": _env_int("REPRO_SKETCH_WIDTH", 4096),
-        "sketch_depth": _env_int("REPRO_SKETCH_DEPTH", 4),
-        "hll_precision": _env_int("REPRO_SKETCH_HLL_PRECISION", 6),
-    }
 
 
 def labeled_features(name: str, preset: str = "default") -> LabeledFeatures:
@@ -162,15 +101,10 @@ def labeled_features(name: str, preset: str = "default") -> LabeledFeatures:
     dataset = get_dataset(name, preset)
     config = sensor_config(name, preset)
     # Replay the sensor log in columnar form: the block path is array
-    # math end to end and bit-identical to per-object ingestion.  With
-    # REPRO_SHARDS > 1 the same replay runs federated (also
-    # bit-identical; see repro.federation).
-    with sensor_for(
-        dataset.directory(), config, shards=federation_shards()
-    ) as engine:
-        sensed = engine.process(
-            dataset.sensor.log.block(), 0.0, config.window_seconds, classify=False
-        )
+    # math end to end and bit-identical to per-object ingestion.
+    sensed = SensorEngine(dataset.directory(), config).process(
+        dataset.sensor.log.block(), 0.0, config.window_seconds, classify=False
+    )
     features = sensed[0].features
     truth = dataset.true_classes()
     keep = np.array([int(o) in truth for o in features.originators], dtype=bool)

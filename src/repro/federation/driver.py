@@ -206,8 +206,8 @@ class FederatedSensor(SensorEngine):
         through fork in process mode) and by the classify stage.
     config:
         The deployment's :class:`~repro.sensor.engine.SensorConfig`.
-        Shards run it with ``featurize_workers=1`` and
-        ``reorder_slack=0`` (this process owns both fan-out and reorder).
+        Shards run it with ``reorder_slack=0`` (this process owns the
+        reorder front).
     n_shards:
         Shard worker count (1 is allowed and useful for testing).
     registry:

@@ -4,8 +4,7 @@ A :class:`ShardWorker` owns a :class:`~repro.sensor.engine.SensorEngine`
 configured with ``reorder_slack=0`` (the
 :class:`~repro.federation.driver.ShardedCollector`'s
 :class:`~repro.sensor.reorder.ReorderFront` resolves reordering
-globally) and ``featurize_workers=1`` (the federation's parallelism *is*
-the shard fan-out).  It exposes exactly the calls the two overridden
+globally).  It exposes exactly the calls the two overridden
 stages of :class:`~repro.federation.driver.FederatedSensor` need:
 
 1. **feed/close** (window stage) — ingest released arrays, advance to
@@ -21,12 +20,12 @@ stages of :class:`~repro.federation.driver.FederatedSensor` need:
    own observation plus the shared context, shard rows are bit-identical
    to the rows a single engine computes for the same originators.
 
-Process fan-out mirrors the featurize-workers pattern: one single-worker
-fork-context executor per shard, forked when the pool is built, the
-worker object inherited through fork (never pickled), tasks shipping a
-method name plus flat arrays and index/context tuples.  :class:`ShardPool`
-falls back to inline (same-process) workers where fork is unavailable;
-results are identical either way.
+Process fan-out: one single-worker fork-context executor per shard,
+forked when the pool is built, the worker object inherited through fork
+(never pickled), tasks shipping a method name plus flat arrays and
+index/context tuples.  :class:`ShardPool` falls back to inline
+(same-process) workers where fork is unavailable; results are identical
+either way.
 """
 
 from __future__ import annotations
@@ -92,7 +91,7 @@ class ShardWorker:
         config: SensorConfig,
     ) -> None:
         self.shard_id = shard_id
-        self.config = config.replaced(featurize_workers=1, reorder_slack=0.0)
+        self.config = config.replaced(reorder_slack=0.0)
         # One persistent enrichment cache per shard: context partials and
         # featurize share lookups, exactly like a single engine's
         # per-window cache (enrichment is deterministic per address, so
@@ -169,7 +168,7 @@ class ShardWorker:
         prestage = window.prestage
         items_in = len(window) if prestage is None else prestage.originators_seen
         features = features_from_selected(
-            window, selected, self.directory, workers=1, context=context
+            window, selected, self.directory, context=context
         )
         return ShardRows(
             shard=self.shard_id,

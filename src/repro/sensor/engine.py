@@ -129,12 +129,6 @@ class SensorConfig:
     """Builds a classifier from a seed; defaults to the paper's RF."""
     seed: int = 0
     """Base seed for the majority-vote classifier runs."""
-    featurize_workers: int = 1
-    """Process-pool workers for the featurize stage (1 = serial).
-
-    Chunked by originator, so the parallel output is bit-identical to
-    the serial path (see :func:`repro.sensor.features.features_from_selected`).
-    """
     sketch_enabled: bool = False
     """Run the probabilistic pre-select stage (:mod:`repro.sketch`).
 
@@ -176,30 +170,12 @@ class SensorConfig:
             raise ValueError("min_queriers must be positive")
         if self.majority_runs < 1:
             raise ValueError("majority_runs must be positive")
-        if self.featurize_workers < 1:
-            raise ValueError("featurize_workers must be positive")
-        if self.sketch_width < 1:
-            raise ValueError("sketch_width must be positive")
-        if self.sketch_depth < 1:
-            raise ValueError("sketch_depth must be positive")
-        if not 4 <= self.hll_precision <= 16:
-            raise ValueError("hll_precision must be in [4, 16]")
-        if not 0.0 < self.sketch_fp_rate < 1.0:
-            raise ValueError("sketch_fp_rate must be in (0, 1)")
-        if self.sketch_capacity < 1:
-            raise ValueError("sketch_capacity must be positive")
         if not 0.0 <= self.sketch_margin < 1.0:
             raise ValueError("sketch_margin must be in [0, 1)")
         if self.sketch_promote_queriers < 0:
             raise ValueError("sketch_promote_queriers must be non-negative (0 = auto)")
-        if (
-            self.sketch_promote_queriers > 0
-            and self.sketch_promote_queriers > self.sketch_gate_queriers
-        ):
-            raise ValueError(
-                "sketch_promote_queriers must not exceed the approximate gate "
-                f"threshold ({self.sketch_gate_queriers})"
-            )
+        # SketchParams owns the geometry checks and promote <= gate.
+        self.sketch_params()
 
     @property
     def window_days(self) -> float:
@@ -775,10 +751,8 @@ class SensorEngine:
     def featurize(self, window: ObservationWindow) -> FeatureSet:
         """Select analyzable originators and extract their features.
 
-        Runs serial (vectorized + window-scoped enrichment cache) by
-        default; with ``config.featurize_workers > 1`` the rows fan out
-        over a process pool, bit-identical to serial.  Observations whose
-        queriers all deduplicated away are skipped and accounted as
+        Vectorized over a window-scoped enrichment cache.  Observations
+        whose queriers all deduplicated away are skipped and accounted as
         featurize-stage drops rather than raising out of :meth:`poll`.
         """
         if self.directory is None:
@@ -795,10 +769,7 @@ class SensorEngine:
             if prestage is not None and get_registry() is not None:
                 self._emit_sketch_metrics(prestage, selected)
             with span("stage.featurize") as featurize_span:
-                features = features_from_selected(
-                    window, selected, self.directory,
-                    workers=self.config.featurize_workers,
-                )
+                features = features_from_selected(window, selected, self.directory)
             self._record_stage(
                 "featurize",
                 items_in=len(selected),

@@ -1,11 +1,12 @@
 """Tests for the command-line interface: generate / classify round trip,
-the uniform work-shaping flags, and metrics snapshots."""
+the uniform metrics flags and snapshots, and ``--shards``."""
 
 from __future__ import annotations
 
 import json
 import os
 import re
+from pathlib import Path
 
 import pytest
 
@@ -174,8 +175,8 @@ class TestFigures:
 
 
 class TestSharedFlags:
-    """--workers / --metrics-out / --metrics-format are uniform across
-    the work-running subcommands."""
+    """--metrics-out / --metrics-format are uniform across the
+    work-running subcommands."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -188,16 +189,13 @@ class TestSharedFlags:
     )
     def test_uniform_flags_accepted(self, argv):
         args = build_parser().parse_args(
-            argv
-            + ["--workers", "2", "--metrics-out", "m.prom", "--metrics-format", "prom"]
+            argv + ["--metrics-out", "m.prom", "--metrics-format", "prom"]
         )
-        assert args.workers == 2
         assert args.metrics_out == "m.prom"
         assert args.metrics_format == "prom"
 
     def test_flags_default_off(self):
         args = build_parser().parse_args(["figures"])
-        assert args.workers == 1
         assert args.metrics_out is None
         assert args.metrics_format is None
 
@@ -278,22 +276,16 @@ class TestMetricsSnapshots:
     def test_experiments_flags_travel_as_env(self, tmp_path, capsys):
         saved = {
             key: os.environ.pop(key, None)
-            for key in (
-                "REPRO_FEATURIZE_WORKERS",
-                "REPRO_METRICS_OUT",
-                "REPRO_METRICS_FORMAT",
-            )
+            for key in ("REPRO_METRICS_OUT", "REPRO_METRICS_FORMAT")
         }
         try:
             out = tmp_path / "m.jsonl"
             code = main([
                 "experiments", "--list",
-                "--workers", "2",
                 "--metrics-out", str(out),
                 "--metrics-format", "jsonl",
             ])
             assert code == 0
-            assert os.environ["REPRO_FEATURIZE_WORKERS"] == "2"
             assert os.environ["REPRO_METRICS_OUT"] == str(out)
             assert os.environ["REPRO_METRICS_FORMAT"] == "jsonl"
         finally:
@@ -380,35 +372,72 @@ class TestShardsFlag:
         assert main(self._argv(generated, "--shards", "0")) == 1
         assert "--shards must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["classify", "serve"])
+    @pytest.mark.parametrize(
+        ("flags", "message"),
+        [
+            (("--shards", "0"), "--shards must be positive"),
+            (("--window", "0"), "--window must be positive"),
+        ],
+        ids=["shards", "window"],
+    )
+    def test_bad_shape_flags_exit_1_before_any_io(
+        self, tmp_path, capsys, command, flags, message
+    ):
+        # None of the files exist: a run that got as far as loading the
+        # log (let alone training on it) would raise, not return.
+        argv = [
+            command,
+            "-l", str(tmp_path / "missing.npz"),
+            "-d", str(tmp_path / "missing.jsonl"),
+            "-t", str(tmp_path / "missing.json"),
+            *(("--stream",) if command == "classify" else ("--port", "0", "--once")),
+            *flags,
+        ]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.strip() == message
+        assert captured.out == ""
 
-class TestSketchEnvOverrides:
-    def test_env_knobs_build_overrides(self):
-        from repro.experiments.common import sketch_overrides
+    def test_serve_rejects_a_bad_port_in_one_line(self, tmp_path, capsys):
+        argv = [
+            "serve",
+            "-l", str(tmp_path / "missing.npz"),
+            "-d", str(tmp_path / "missing.jsonl"),
+            "-t", str(tmp_path / "missing.json"),
+            "--port", "70000",
+        ]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.strip() == "port must be in [0, 65535], got 70000"
 
-        saved = {
-            key: os.environ.pop(key, None)
-            for key in (
-                "REPRO_SKETCH",
-                "REPRO_SKETCH_WIDTH",
-                "REPRO_SKETCH_DEPTH",
-                "REPRO_SKETCH_HLL_PRECISION",
-            )
-        }
-        try:
-            assert sketch_overrides() == {}
-            os.environ["REPRO_SKETCH"] = "1"
-            os.environ["REPRO_SKETCH_WIDTH"] = "2048"
-            assert sketch_overrides() == {
-                "sketch_enabled": True,
-                "sketch_width": 2048,
-                "sketch_depth": 4,
-                "hll_precision": 6,
-            }
-            os.environ["REPRO_SKETCH"] = "off"
-            assert sketch_overrides() == {}
-        finally:
-            for key, value in saved.items():
-                if value is None:
-                    os.environ.pop(key, None)
-                else:
-                    os.environ[key] = value
+
+class TestOneWayToGoParallel:
+    """Shards are the parallelism and ``SensorConfig`` is the config:
+    no second process pool, no work-shaping environment, no ``--workers``."""
+
+    SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+
+    SUBCOMMANDS = {
+        "generate": ["generate", "JP-ditl"],
+        "classify": ["classify", "-l", "x", "-d", "y", "-t", "z"],
+        "convert": ["convert", "x", "-o", "y.npz"],
+        "figures": ["figures"],
+        "serve": ["serve", "-l", "x", "-d", "y", "-t", "z"],
+        "experiments": ["experiments", "--list"],
+    }
+
+    def test_inventory(self):
+        env_names: set[str] = set()
+        pool_sites: set[str] = set()
+        for path in self.SRC.rglob("*.py"):
+            text = path.read_text()
+            env_names.update(re.findall(r"REPRO_[A-Z_]+", text))
+            if "ProcessPoolExecutor" in text:
+                pool_sites.add(path.relative_to(self.SRC).as_posix())
+        assert env_names == {"REPRO_METRICS_OUT", "REPRO_METRICS_FORMAT"}
+        assert pool_sites == {"federation/shard.py"}
+        for argv in self.SUBCOMMANDS.values():
+            build_parser().parse_args(argv)
+            with pytest.raises(SystemExit) as exit_info:
+                build_parser().parse_args(argv + ["--workers", "2"])
+            assert exit_info.value.code == 2
