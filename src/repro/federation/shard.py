@@ -220,14 +220,7 @@ class ShardWorker:
     def _context_partial(
         self, window: ObservationWindow
     ) -> tuple[np.ndarray, np.ndarray, list[str]]:
-        if window.querier_roster is not None:
-            addrs = np.asarray(window.querier_roster, dtype=np.int64)
-        else:
-            queriers: set[int] = set()
-            for observation in window.observations.values():
-                queriers |= observation.unique_queriers
-            addrs = np.fromiter(queriers, np.int64, len(queriers))
-            addrs.sort()
+        addrs = window.querier_addrs()
         if addrs.size == 0:
             return addrs, np.empty(0, dtype=np.int64), []
         _, asns, country_codes = self.directory.codes(addrs)

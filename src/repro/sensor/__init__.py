@@ -25,7 +25,6 @@ from repro.sensor.directory import (
     ResolvedQuerier,
     StaticDirectory,
     WorldDirectory,
-    enrich_chunk,
 )
 from repro.sensor.engine import (
     STAGE_NAMES,
@@ -96,7 +95,6 @@ __all__ = [
     "ResolvedQuerier",
     "StaticDirectory",
     "WorldDirectory",
-    "enrich_chunk",
     "DYNAMIC_FEATURE_NAMES",
     "PERIOD_SECONDS",
     "WindowContext",

@@ -10,8 +10,8 @@ extractor consumes.
 
 from __future__ import annotations
 
-
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
@@ -69,27 +69,32 @@ def dedup_entries(
 class OriginatorObservation:
     """All (deduped) reverse queries for one originator in one interval.
 
-    The unique-querier view is computed lazily and cached — ``queriers``
-    already holds every address, so materializing a set per ``add``
-    would keep a third copy of the column alive for observations whose
-    footprint is never read (pre-gate drops, sketch DEFERs).
+    ``queriers`` already holds every address, so the two derived views
+    are computed lazily and cached until the next append.  The § III-B
+    gate reads every observation's ``footprint``, which caches a count
+    only; the ``unique_queriers`` set is built for the few gate survivors
+    featurization reads, not for each of a long tail of dropped
+    originators.
     """
 
     originator: int
     timestamps: list[float] = field(default_factory=list)
     queriers: list[int] = field(default_factory=list)
     _unique: frozenset[int] | None = field(default=None, repr=False, compare=False)
+    _footprint: int = field(default=-1, repr=False, compare=False)
 
     def add(self, timestamp: float, querier: int) -> None:
         self.timestamps.append(timestamp)
         self.queriers.append(querier)
         self._unique = None
+        self._footprint = -1
 
     def extend_lists(self, timestamps: list[float], queriers: list[int]) -> None:
         """Bulk append from parallel plain lists (block ingest path)."""
         self.timestamps.extend(timestamps)
         self.queriers.extend(queriers)
         self._unique = None
+        self._footprint = -1
 
     @property
     def query_count(self) -> int:
@@ -104,7 +109,10 @@ class OriginatorObservation:
     @property
     def footprint(self) -> int:
         """Unique querier count — the paper's footprint estimate (§ VI-A)."""
-        return len(self.unique_queriers)
+        if self._footprint < 0:
+            unique = self._unique if self._unique is not None else set(self.queriers)
+            self._footprint = len(unique)
+        return self._footprint
 
 
 @dataclass(slots=True)
@@ -141,6 +149,24 @@ class ObservationWindow:
 
     def get(self, originator: int) -> OriginatorObservation | None:
         return self.observations.get(originator)
+
+    def querier_addrs(self) -> np.ndarray:
+        """Sorted distinct querier addresses of the whole window (int64).
+
+        The window-wide querier universe the dynamic features normalize
+        by: the sketch pre-stage's exact ``querier_roster`` when the
+        window has one (its ``observations`` hold survivors only), else
+        one ``np.unique`` over every observation's querier list.
+        """
+        if self.querier_roster is not None:
+            return np.asarray(self.querier_roster, dtype=np.int64)
+        observations = self.observations.values()
+        flat = np.fromiter(
+            chain.from_iterable(o.queriers for o in observations),
+            dtype=np.int64,
+            count=sum(len(o.queriers) for o in observations),
+        )
+        return np.unique(flat)
 
 
 def extend_window_arrays(

@@ -28,7 +28,6 @@ __all__ = [
     "StaticDirectory",
     "ResolvedQuerier",
     "EnrichmentCache",
-    "enrich_chunk",
 ]
 
 
@@ -96,45 +95,18 @@ class ResolvedQuerier:
     country: str | None
 
 
-def enrich_chunk(
-    directory: QuerierDirectory, addrs: Sequence[int] | np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str]]:
-    """Classify a chunk of addresses against *directory* (worker side).
-
-    Returns ``(category indices, ASNs, country codes, country table)``
-    aligned with *addrs*: ASN is ``-1`` for unknown, country codes index
-    into the chunk-local *country table* (``-1`` unknown).  Compact int
-    arrays pickle as raw buffers, so this is the unit of work the
-    parallel featurize path ships between processes;
-    :meth:`EnrichmentCache.prime_arrays` installs the result.
-    """
-    if isinstance(addrs, np.ndarray):
-        addrs = addrs.tolist()
-    n = len(addrs)
-    categories = np.empty(n, dtype=np.int64)
-    asns = np.empty(n, dtype=np.int64)
-    country_codes = np.empty(n, dtype=np.int64)
-    table: dict[str, int] = {}
-    for i, addr in enumerate(addrs):
-        info = directory.lookup(addr)
-        categories[i] = _CATEGORY_INDEX[classify_querier(info.name, info.status)]
-        asns[i] = -1 if info.asn is None else info.asn
-        country = info.country
-        country_codes[i] = (
-            -1 if country is None else table.setdefault(country, len(table))
-        )
-    return categories, asns, country_codes, list(table)
-
-
 class EnrichmentCache:
     """Window-scoped querier → (category, ASN, country) cache.
 
     Featurization needs every querier resolved — name classified into a
     static category, AS and country read — and the same querier typically
     appears under many originators of one observation window.  The cache
-    wraps any :class:`QuerierDirectory` and resolves each address exactly
+    wraps any :class:`QuerierDirectory` and looks each address up exactly
     once, so the window context, the static features, and the dynamic
-    features share one round of directory lookups and keyword matching.
+    features share one round of directory lookups.  The keyword category
+    depends on the reverse name alone, so its match is memoized further
+    out, per name for the life of the process
+    (:func:`~repro.sensor.keywords.classify_name`).
 
     Internally the cache is a column store: a sorted address array with
     aligned category/ASN/country-code columns, so the batch paths read
@@ -143,11 +115,11 @@ class EnrichmentCache:
     :meth:`resolve` view sits on top and is memoized separately.
 
     Scope one instance to one observation window: the cache never
-    invalidates, so mutations of the underlying directory are only picked
-    up by the *next* window's cache, matching the paper's
-    snapshot-per-interval semantics.  It implements the
-    :class:`QuerierDirectory` protocol, so it can be passed anywhere a
-    directory is expected.
+    invalidates, so mutations of the underlying directory (a querier's
+    name, AS or country) are only picked up by the *next* window's
+    cache, matching the paper's snapshot-per-interval semantics.  It
+    implements the :class:`QuerierDirectory` protocol, so it can be
+    passed anywhere a directory is expected.
     """
 
     #: Telemetry counter names (emitted when a registry is installed).
@@ -171,7 +143,7 @@ class EnrichmentCache:
         self._country_codes: dict[str, int] = {}
         self._countries: list[str] = []
         # Scalar-resolved entries awaiting consolidation, and the memo of
-        # constructed ResolvedQuerier objects (batch priming skips both).
+        # constructed ResolvedQuerier objects (batch enrichment skips both).
         self._pending: dict[int, tuple[int, int, int]] = {}
         self._memo: dict[int, ResolvedQuerier] = {}
 
@@ -201,37 +173,53 @@ class EnrichmentCache:
             return pos
         return -1
 
-    def _intern_country(self, country: str) -> int:
-        code = self._country_codes.get(country)
-        if code is None:
-            code = len(self._countries)
-            self._country_codes[country] = code
-            self._countries.append(country)
-        return code
+    def _row(
+        self, category: str, asn: int | None, country: str | None
+    ) -> tuple[int, int, int]:
+        """One querier as column values: category index, ASN, country code.
+
+        ``-1`` encodes an unknown ASN or country; countries are interned.
+        """
+        if country is None:
+            code = -1
+        else:
+            code = self._country_codes.get(country)
+            if code is None:
+                code = len(self._countries)
+                self._country_codes[country] = code
+                self._countries.append(country)
+        return _CATEGORY_INDEX[category], -1 if asn is None else asn, code
 
     def _consolidate(self) -> None:
         """Merge scalar-resolved pending entries into the column store."""
         if not self._pending:
             return
         new_addrs = np.fromiter(self._pending.keys(), np.int64, len(self._pending))
-        triples = np.array(list(self._pending.values()), dtype=np.int64)
-        self._merge(new_addrs, triples[:, 0], triples[:, 1], triples[:, 2])
+        self._merge(new_addrs, list(self._pending.values()))
         self._pending.clear()
 
-    def _merge(
-        self,
-        addrs: np.ndarray,
-        categories: np.ndarray,
-        asns: np.ndarray,
-        ccs: np.ndarray,
-    ) -> None:
-        """Merge new (disjoint) rows into the sorted column store."""
+    def _enrich(self, addrs: np.ndarray) -> None:
+        """Look up *addrs* (distinct, none cached) and merge them in."""
+        self.built += len(addrs)
+        _tcount(self._BUILT, len(addrs), help="Enrichment cache entries built.")
+        infos = [self._directory.lookup(addr) for addr in addrs.tolist()]
+        self._merge(
+            addrs,
+            [
+                self._row(classify_querier(i.name, i.status), i.asn, i.country)
+                for i in infos
+            ],
+        )
+
+    def _merge(self, addrs: np.ndarray, rows: list[tuple[int, int, int]]) -> None:
+        """Merge new (disjoint) addresses and their rows into the column store."""
+        table = np.array(rows, dtype=np.int64).reshape(len(rows), 3)
         merged = np.concatenate([self._addrs, addrs])
         order = np.argsort(merged, kind="stable")
         self._addrs = merged[order]
-        self._categories = np.concatenate([self._categories, categories])[order]
-        self._asns = np.concatenate([self._asns, asns])[order]
-        self._ccs = np.concatenate([self._ccs, ccs])[order]
+        self._categories = np.concatenate([self._categories, table[:, 0]])[order]
+        self._asns = np.concatenate([self._asns, table[:, 1]])[order]
+        self._ccs = np.concatenate([self._ccs, table[:, 2]])[order]
 
     def resolve(self, addr: int) -> ResolvedQuerier:
         """The enriched view of one querier (memoized)."""
@@ -282,54 +270,17 @@ class EnrichmentCache:
             return self.resolve(addr)
         self.built += 1
         _tcount(self._BUILT, 1, help="Enrichment cache entries built.")
-        category_index = _CATEGORY_INDEX[category]
-        cc = -1 if country is None else self._intern_country(country)
-        self._pending[addr] = (category_index, -1 if asn is None else asn, cc)
+        row = self._row(category, asn, country)
+        self._pending[addr] = row
         hit = ResolvedQuerier(
             addr=addr,
             category=category,
-            category_index=category_index,
+            category_index=row[0],
             asn=asn,
             country=country,
         )
         self._memo[addr] = hit
         return hit
-
-    def prime_arrays(
-        self,
-        addrs: np.ndarray,
-        categories: np.ndarray,
-        asns: np.ndarray,
-        country_codes: np.ndarray,
-        countries: list[str],
-    ) -> None:
-        """Install a chunk of externally resolved queriers (worker results).
-
-        Arguments are exactly one :func:`enrich_chunk` result plus the
-        addresses it covered; *country_codes* are remapped from the
-        chunk-local table to this cache's interned codes.  The addresses
-        must not already be cached (callers chunk
-        :meth:`missing` output, which guarantees that) and must not
-        repeat within the call.
-        """
-        self._consolidate()
-        self.built += len(addrs)
-        _tcount(self._BUILT, len(addrs), help="Enrichment cache entries built.")
-        if len(countries):
-            mapping = np.fromiter(
-                (self._intern_country(c) for c in countries), np.int64, len(countries)
-            )
-            ccs = np.where(
-                country_codes >= 0, mapping[np.maximum(country_codes, 0)], -1
-            )
-        else:
-            ccs = np.full(len(addrs), -1, dtype=np.int64)
-        self._merge(
-            addrs.astype(np.int64),
-            categories.astype(np.int64),
-            asns.astype(np.int64),
-            ccs,
-        )
 
     def country_names(self, codes: np.ndarray | Sequence[int]) -> list[str]:
         """Country names for interned codes (callers filter ``>= 0``).
@@ -370,7 +321,7 @@ class EnrichmentCache:
         _tcount(self._HITS, len(addrs) - len(unresolved),
                 help="Enrichment cache lookups served warm.")
         if len(unresolved):
-            self.prime_arrays(unresolved, *enrich_chunk(self._directory, unresolved))
+            self._enrich(unresolved)
         if len(addrs) == 0:
             empty = np.empty(0, dtype=np.int64)
             return empty, empty.copy(), empty.copy()

@@ -69,19 +69,8 @@ class WindowContext:
     def from_window(
         cls, window: ObservationWindow, directory: QuerierDirectory
     ) -> "WindowContext":
-        cache = EnrichmentCache.ensure(directory)
-        if window.querier_roster is not None:
-            # Sketch-mode windows materialize survivors only, but carry
-            # the exact pre-gate querier roster — use it so the
-            # normalizers match what the exact path would compute over
-            # the full window.
-            addrs = np.asarray(window.querier_roster, dtype=np.int64)
-        else:
-            queriers: set[int] = set()
-            for observation in window.observations.values():
-                queriers |= observation.unique_queriers
-            addrs = np.fromiter(queriers, np.int64, len(queriers))
-        _, asns, country_codes = cache.codes(addrs)
+        addrs = window.querier_addrs()
+        _, asns, country_codes = EnrichmentCache.ensure(directory).codes(addrs)
         return cls(
             start=window.start,
             end=window.end,

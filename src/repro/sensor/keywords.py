@@ -23,6 +23,7 @@ runs against whatever names the world synthesizes.
 
 from __future__ import annotations
 
+import functools
 import re
 
 from repro.netmodel.world import NameStatus
@@ -97,6 +98,12 @@ SUFFIX_CATEGORIES: tuple[tuple[str, tuple[str, ...]], ...] = (
 
 _TOKEN_SPLIT = re.compile(r"[^a-z]+")
 
+#: Entries kept by the per-process :func:`classify_name` memo.  Querier
+#: names recur window after window, and a name's category depends on the
+#: name alone, so every window close after the first reuses it; the bound
+#: keeps a feed of ever-new names from growing the process.
+_CLASSIFY_MEMO_SIZE = 1 << 16
+
 
 def _component_category(component: str) -> str | None:
     """First matching category for one name component, or None."""
@@ -111,11 +118,14 @@ def _component_category(component: str) -> str | None:
     return None
 
 
+@functools.lru_cache(maxsize=_CLASSIFY_MEMO_SIZE)
 def classify_name(name: str) -> str:
     """Static category of one reverse domain name.
 
     Walks components left to right applying the keyword rules, then falls
-    back to registered-domain suffixes, then ``other``.
+    back to registered-domain suffixes, then ``other``.  Memoized for the
+    life of the process (bounded LRU; ``classify_name.cache_clear()``
+    empties it, ``classify_name.__wrapped__`` is the unmemoized rule).
     """
     lowered = name.lower().rstrip(".")
     components = lowered.split(".")

@@ -40,7 +40,9 @@ class FeedReader:
 
     ``feed(data)`` consumes a chunk and returns the entries completed by
     it (possibly empty); ``close()`` flushes the final unterminated text
-    line and raises on a truncated binary frame.  A reader constructed
+    line and raises on a truncated binary frame.  A text line that does
+    not parse is skipped and counted in ``bad_lines``; a bad ``.rbsc``
+    header or frame raises, since framing is lost.  A reader constructed
     with ``format="auto"`` resolves to ``rbsc`` iff the stream opens
     with the ``RBSC`` magic (decided once at least 4 bytes arrive).
     """
@@ -53,6 +55,7 @@ class FeedReader:
         self._header_seen = False
         self._closed = False
         self.entries_decoded = 0
+        self.bad_lines = 0  # text lines skipped: not 'timestamp querier qname'
 
     @property
     def format(self) -> str:
@@ -99,19 +102,18 @@ class FeedReader:
         complete = bytes(raw[:cut])
         del raw[:cut]
         rows: list[tuple[float, int, int]] = []
-        for line in complete.decode("ascii").splitlines():
+        for line in complete.decode("ascii", errors="replace").splitlines():
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            fields = line.split()
-            if len(fields) != 3:
-                raise ValueError(
-                    f"feed: expected 'timestamp querier qname', got {line!r}"
+            try:
+                timestamp, querier, qname = line.split()
+                rows.append(
+                    (float(timestamp), str_to_ip(querier), reverse_name_to_ip(qname))
                 )
-            timestamp, querier, qname = fields
-            rows.append(
-                (float(timestamp), str_to_ip(querier), reverse_name_to_ip(qname))
-            )
+            except ValueError:
+                # One bad line must not cost the good lines around it.
+                self.bad_lines += 1
         if not rows:
             return EntryBlock.empty()
         self.entries_decoded += len(rows)

@@ -112,6 +112,7 @@ class BackscatterService:
         self.verdicts_total = 0
         self.alerts_total = 0
         self.queued_events = 0
+        self.feed_bad_lines = 0
         self.step_errors = 0
         self.last_step_error: str | None = None
         self.swap_outcomes: TallyCounter[str] = TallyCounter()
@@ -408,12 +409,8 @@ class BackscatterService:
                 data = await reader.read(self.config.feed_chunk)
                 if not data:
                     break
-                block = decoder.feed(data)
-                if len(block):
-                    self.submit_block(block)
-            tail = decoder.close()
-            if len(tail):
-                self.submit_block(tail)
+                self._accept(decoder, data)
+            self._accept(decoder, None)
         finally:
             try:
                 writer.close()
@@ -429,9 +426,19 @@ class BackscatterService:
                 if not data:
                     await asyncio.sleep(self.config.feed_poll_seconds)
                     continue
-                block = decoder.feed(data)
-                if len(block):
-                    self.submit_block(block)
+                self._accept(decoder, data)
+
+    def _accept(self, decoder: FeedReader, data: bytes | None) -> None:
+        """Decode one read (``None`` = end of stream), queue it, count skips."""
+        bad_before = decoder.bad_lines
+        block = decoder.close() if data is None else decoder.feed(data)
+        skipped = decoder.bad_lines - bad_before
+        if skipped:
+            self.feed_bad_lines += skipped
+            self._count("repro_service_feed_bad_lines_total", skipped,
+                        help="Feed text lines skipped because they did not parse.")
+        if len(block):
+            self.submit_block(block)
 
     # -- observability --------------------------------------------------
 
@@ -473,6 +480,7 @@ class BackscatterService:
             "retrain": self.config.retrain.value if self.config.retrain else None,
             "swaps": dict(self.swap_outcomes),
             "feed_lag_seconds": lag,
+            "feed_bad_lines": self.feed_bad_lines,
             "shards": self.config.shards,
         }
 

@@ -241,8 +241,9 @@ class TestLazyUniqueQueriers:
         obs = OriginatorObservation(originator=1)
         obs.add(1.0, 10)
         assert obs.footprint == 1
-        assert obs._unique is not None
+        assert obs._unique is None  # footprint caches a count, not the set
         cached = obs.unique_queriers
+        assert obs._unique is cached
         assert obs.unique_queriers is cached  # no recompute
         obs.add(2.0, 11)
         assert obs._unique is None  # add invalidates
@@ -250,3 +251,17 @@ class TestLazyUniqueQueriers:
         obs.extend_lists([3.0], [11])
         assert obs._unique is None  # bulk append invalidates
         assert obs.footprint == 2
+
+    def test_footprint_count_invalidated_by_writes(self):
+        obs = OriginatorObservation(originator=1)
+        obs.add(1.0, 10)
+        assert obs.footprint == 1
+        obs.add(2.0, 11)
+        assert obs.footprint == 2
+        obs.extend_lists([3.0, 4.0], [12, 10])
+        assert obs.footprint == 3
+        # The gate's read builds no set; the survivors' set agrees.
+        assert obs._unique is None
+        assert len(obs.unique_queriers) == obs.footprint
+        obs.add(5.0, 13)
+        assert obs.footprint == 4

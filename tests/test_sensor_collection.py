@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -128,3 +129,23 @@ class TestCollectWindow:
         assert 2 in window
         assert window.get(2) is not None
         assert window.get(99) is None
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(min_value=0, max_value=500, allow_nan=False),
+                st.integers(0, 2**32 - 1),
+                st.integers(1, 6),
+            ),
+            max_size=60,
+        )
+    )
+    def test_querier_addrs_is_the_sorted_union(self, raw):
+        entries = [entry(t, q, o) for t, q, o in sorted(raw, key=lambda r: r[0])]
+        window = collect_window(entries, 0.0, 1000.0)
+        union: set[int] = set()
+        for observation in window.observations.values():
+            union |= observation.unique_queriers
+        addrs = window.querier_addrs()
+        assert addrs.dtype == np.int64
+        assert addrs.tolist() == sorted(union)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.dnssim.message import QueryLogEntry
 from repro.netmodel.world import NameStatus
 from repro.sensor.collection import ObservationWindow, OriginatorObservation
 from repro.sensor.directory import EnrichmentCache, QuerierInfo, StaticDirectory
@@ -21,6 +22,9 @@ from repro.sensor.features import (
     feature_vector,
     features_from_selected,
 )
+from repro.sensor.engine import SensorConfig, SensorEngine
+from repro.sensor.keywords import classify_name
+from repro.sensor.selection import analyzable
 from repro.sensor.static import STATIC_FEATURE_NAMES, static_features
 
 
@@ -347,3 +351,50 @@ class TestParallelFeaturize:
         )
         after = features_from_selected(window, [obs], cache)
         np.testing.assert_array_equal(before.matrix, after.matrix)
+
+
+class TestKeywordMemo:
+    """The per-process ``classify_name`` memo never changes a feature row."""
+
+    NAMES = (
+        "mail{}.a.com", "ns{}.b.net", "www{}.c.org", "fw{}.d.jp",
+        "x{}.cloudapp.net", "plain{}.example", None,
+    )
+
+    @pytest.mark.parametrize("sketch", [False, True], ids=["exact", "sketch"])
+    def test_cold_and_warm_memo_featurize_identically(self, sketch):
+        rng = np.random.default_rng(3)
+        queriers = range(1000, 1400)
+        patterns = [self.NAMES[q % len(self.NAMES)] for q in queriers]
+        directory = make_directory(
+            {
+                q: (pattern and pattern.format(q), 1 + q % 7, ("jp", "us", "de")[q % 3])
+                for q, pattern in zip(queriers, patterns)
+            }
+        )
+        entries = [
+            QueryLogEntry(timestamp=float(t), querier=int(q), originator=int(o))
+            for t, q, o in sorted(
+                zip(
+                    rng.uniform(0.0, 3600.0, size=4000),
+                    rng.choice(queriers, size=4000),
+                    rng.integers(1, 60, size=4000),
+                )
+            )
+        ]
+        config = SensorConfig(
+            window_seconds=3600.0, min_queriers=20, sketch_enabled=sketch,
+            sketch_capacity=len(entries),
+        )
+        window = SensorEngine(directory, config).windows(entries, 0.0, 3600.0)[0]
+        assert (window.prestage is not None) == sketch
+        selected = analyzable(window, config.min_queriers)
+        assert selected
+        classify_name.cache_clear()
+        cold = features_from_selected(window, selected, directory)
+        assert classify_name.cache_info().misses > 0
+        hits = classify_name.cache_info().hits
+        warm = features_from_selected(window, selected, directory)
+        assert classify_name.cache_info().hits > hits
+        assert np.array_equal(cold.matrix, warm.matrix)
+        assert np.array_equal(cold.originators, warm.originators)

@@ -159,9 +159,17 @@ class TestFeedReader:
         tail = reader.close()
         assert len(tail) == 1 and tail.timestamps[0] == 3.0
 
-    def test_text_malformed_line_raises(self):
-        with pytest.raises(ValueError, match="expected"):
-            FeedReader("text").feed(b"1.0 onlytwo\n")
+    def test_text_malformed_lines_skipped_and_counted(self):
+        good = (self.LINE % "1.0").encode()
+        reader = FeedReader("text")
+        block = reader.feed(good + b"GARBAGE\n1.0 onlytwo\n" + good)
+        assert len(block) == 2
+        assert reader.bad_lines == 2
+        # Three fields that do not parse, and bytes that are not ASCII.
+        block = reader.feed(b"x 192.0.2.9 4.3.2.10.in-addr.arpa\n\xff\xfe\n" + good)
+        assert len(block) == 1
+        assert reader.bad_lines == 4
+        assert reader.entries_decoded == 3
 
     def test_auto_resolves_text(self):
         reader = FeedReader("auto")

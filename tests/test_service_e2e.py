@@ -24,7 +24,7 @@ from repro.datasets.dnstap import MAGIC, VERSION
 from repro.dnssim.message import QueryLogEntry
 from repro.logstore import EntryBlock, save_block
 from repro.ml import ForestConfig, RandomForestClassifier
-from repro.netmodel.addressing import ip_to_str
+from repro.netmodel.addressing import ip_to_reverse_name, ip_to_str
 from repro.netmodel.world import NameStatus
 from repro.sensor.curation import LabeledSet
 from repro.sensor.directory import QuerierInfo, StaticDirectory
@@ -185,6 +185,54 @@ class TestSocketFeedParity:
         ingest = {s.name: s for s in service.engine.accounting()}["ingest"]
         assert ingest.items_in == len(block)
         assert ingest.dropped == 0
+
+    def test_garbage_text_lines_are_skipped_not_fatal(self):
+        directory, config, trainer, _, block = trained_world()
+        expected = verdict_records(
+            offline_reference(directory, config, trainer, block)
+        )
+        lines = [
+            f"{float(t)!r} {ip_to_str(int(q))} {ip_to_reverse_name(int(o))}\n".encode()
+            for t, q, o in zip(block.timestamps, block.queriers, block.originators)
+        ]
+        middle = len(lines) // 2
+        payload = b"".join(
+            lines[:middle] + [b"GARBAGE\n", b"1.0 onlytwo\n"] + lines[middle:]
+        )
+
+        async def run():
+            service = BackscatterService(
+                directory,
+                ServiceConfig(port=0, feed_port=0, feed_format="text", sensor=config),
+            )
+            service.fit_from(trainer)
+            await service.start()
+            _, writer = await asyncio.open_connection(*service.feed_address)
+            for lo in range(0, len(payload), 1013):
+                writer.write(payload[lo : lo + 1013])
+                await writer.drain()
+            writer.close()
+            await writer.wait_closed()
+            # At the parent the connection died at the first bad line.
+            await asyncio.wait_for(_until(lambda: service.events_total == len(block)), 10.0)
+            await service.drain()
+            health = service.health()
+            await service.stop()
+            return service, health
+
+        service, health = asyncio.run(run())
+        assert health["feed_bad_lines"] == 2 and health["status"] == "ok"
+        assert _counter(service, "repro_service_feed_bad_lines_total") == 2
+        final = service.windows()
+        assert len(final) == len(expected) == 3
+        for got, want in zip(final, expected):
+            assert (got["start"], got["end"]) == (want["start"], want["end"])
+            assert got["verdicts"] == want["verdicts"]
+
+
+async def _until(predicate) -> None:
+    while not predicate():
+        await asyncio.sleep(0.01)
 
 
 class TestHotSwap:

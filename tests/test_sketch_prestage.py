@@ -206,6 +206,14 @@ class TestBatchAgreement:
         assert set(int(q) for q in roster) == exact_universe
         assert bool((np.diff(roster) > 0).all())  # sorted unique
 
+    def test_querier_addrs_is_the_roster(self):
+        entries, exact, sketched = self.engines()
+        exact_win = exact.windows(entries, 0.0, WINDOW)[0]
+        sketch_win = sketched.windows(entries, 0.0, WINDOW)[0]
+        # Survivors-only observations would give a smaller universe.
+        assert np.array_equal(sketch_win.querier_addrs(), sketch_win.querier_roster)
+        assert np.array_equal(sketch_win.querier_addrs(), exact_win.querier_addrs())
+
     def test_no_false_drops_on_this_workload(self):
         entries, exact, sketched = self.engines()
         exact_win = exact.windows(entries, 0.0, WINDOW)[0]
