@@ -14,8 +14,7 @@ analyzability gate exists for), runs the window + select stages of
 
 Each mode reports events/s (best of ``--rounds`` timed runs) and peak
 incremental memory from a separate ``tracemalloc`` run, plus the gate
-agreement between the two paths (selected sets, false drops).  A width
-frontier re-runs the sketch mode across count-min widths, and a
+agreement between the two paths (selected sets, false drops).  A
 streaming section times the same log through the single-pass chunked
 block path (exact vs sketch — the pre-stage's array-native
 ``observe_arrays`` verdict core) with the promotion resolver's
@@ -151,13 +150,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--rounds", type=int, default=3, help="best-of rounds per mode")
     parser.add_argument(
-        "--widths",
-        type=int,
-        nargs="*",
-        default=[1024, 4096, 16384],
-        help="count-min widths for the sketch frontier",
-    )
-    parser.add_argument(
         "--quick", action="store_true", help="CI smoke scale (small log, 2 rounds)"
     )
     parser.add_argument(
@@ -172,18 +164,16 @@ def main(argv: list[str] | None = None) -> int:
     if args.quick:
         args.events = min(args.events, 60_000)
         args.rounds = min(args.rounds, 2)
-        args.widths = args.widths[:2]
 
     print(f"generating ~{args.events:,} events …", flush=True)
     entries = synthetic_log(args.events, args.min_queriers, args.seed)
     print(f"log: {len(entries):,} events", flush=True)
 
-    def config_for(sketch: bool, width: int = 4096) -> SensorConfig:
+    def config_for(sketch: bool) -> SensorConfig:
         return SensorConfig(
             window_seconds=WINDOW_SECONDS,
             min_queriers=args.min_queriers,
             sketch_enabled=sketch,
-            sketch_width=width,
             # Size the dedup filter to the workload so its FP budget holds.
             sketch_capacity=max(4096, len(entries)),
         )
@@ -245,27 +235,6 @@ def main(argv: list[str] | None = None) -> int:
         f"({false_drops} false drops)",
         flush=True,
     )
-
-    frontier = []
-    for width in args.widths:
-        cfg = config_for(True, width=width)
-        seconds, (window, selected) = timed(args.rounds, cfg, entries)
-        frontier.append(
-            {
-                "width": width,
-                "seconds": round(seconds, 6),
-                "events_per_s": round(len(entries) / seconds, 1),
-                "selected": len(selected),
-                "false_drops": window.prestage.false_drops(
-                    footprints, args.min_queriers
-                ),
-            }
-        )
-        print(
-            f"  width {width:>6}: {seconds:.3f}s  {len(selected)} selected",
-            flush=True,
-        )
-    report["width_frontier"] = frontier
 
     # Streaming single-pass comparison: the same log chunk-fed through
     # the block ingest path, exact dedup vs the pre-stage's vectorized

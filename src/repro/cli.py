@@ -30,9 +30,8 @@ PATH`` (with ``--metrics-format``) installs a
 snapshot when it finishes — Prometheus text or JSON lines.
 ``repro classify --stream --metrics-every N`` additionally snapshots
 every N sensed windows, the live-deployment cadence.  ``repro classify
---sketch`` (with ``--sketch-width`` / ``--hll-precision``) runs the
-constant-memory probabilistic pre-select stage in both batch and
-``--stream`` modes.  ``--shards N`` (``classify`` and ``serve``) is the
+--sketch`` runs the constant-memory probabilistic pre-select stage in
+both batch and ``--stream`` modes.  ``--shards N`` (``classify`` and ``serve``) is the
 one way to use more than one core: it federates the run across N
 originator-partitioned shard engines (:mod:`repro.federation`; output is
 bit-identical to a single engine).  ``--vantage NAME=LOG`` (repeatable,
@@ -64,7 +63,7 @@ __all__ = ["main"]
 
 
 def add_sketch_options(parser: argparse.ArgumentParser) -> None:
-    """The probabilistic pre-select knobs (``repro classify``)."""
+    """The probabilistic pre-select switch (``repro classify`` / ``serve``)."""
     parser.add_argument(
         "--sketch",
         action="store_true",
@@ -72,31 +71,6 @@ def add_sketch_options(parser: argparse.ArgumentParser) -> None:
         "originators on an approximate unique-querier estimate and "
         "materialize exact state for survivors only",
     )
-    parser.add_argument(
-        "--sketch-width",
-        type=int,
-        default=4096,
-        metavar="W",
-        help="count-min sketch width (columns per hash row)",
-    )
-    parser.add_argument(
-        "--hll-precision",
-        type=int,
-        default=6,
-        metavar="P",
-        help="HyperLogLog precision p (2^p registers per originator)",
-    )
-
-
-def _sketch_overrides(args: argparse.Namespace) -> dict:
-    """SensorConfig overrides implied by the sketch flags."""
-    if not getattr(args, "sketch", False):
-        return {}
-    return {
-        "sketch_enabled": True,
-        "sketch_width": args.sketch_width,
-        "hll_precision": args.hll_precision,
-    }
 
 
 def _sensor_config(args: argparse.Namespace, origin: float, window_seconds: float):
@@ -107,7 +81,7 @@ def _sensor_config(args: argparse.Namespace, origin: float, window_seconds: floa
         window_seconds=window_seconds,
         origin=origin,
         min_queriers=args.min_queriers,
-        **_sketch_overrides(args),
+        sketch_enabled=args.sketch,
     )
 
 
@@ -441,11 +415,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     service = BackscatterService(trainer.directory, config, registry=registry)
     service.fit_from(trainer, labeled=present)
 
-    async def run() -> None:
+    async def run() -> bool:
         loop = asyncio.get_running_loop()
         for signum in (signal.SIGTERM, signal.SIGINT):
             loop.add_signal_handler(signum, service.request_shutdown)
-        await service.start()
+        try:
+            await service.start()
+        except OSError as exc:  # e.g. a busy --port / --feed-port
+            print(f"cannot serve on {config.host}: {exc}", file=sys.stderr)
+            return False
         host, port = service.http_address
         print(f"serving http on {host}:{port}", flush=True)
         if service.feed_address is not None:
@@ -464,8 +442,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             service.request_shutdown()
         await service.wait_shutdown()
         await service.stop()
+        return True
 
-    asyncio.run(run())
+    if not asyncio.run(run()):
+        service.engine.close()  # reaps --shards workers
+        return 1
     health = service.health()
     print(
         f"served {health['windows']} windows, {health['verdicts']} verdicts, "

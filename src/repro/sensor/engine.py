@@ -97,6 +97,15 @@ SECONDS_PER_DAY = 86400.0
 
 STAGE_NAMES: tuple[str, ...] = ("ingest", "window", "select", "featurize", "classify")
 
+#: One-sided error margin of the approximate § III-B gate: the HLL
+#: estimate is held to ``(1 - margin) * min_queriers`` so underestimation
+#: cannot silently drop analyzable originators (the exact
+#: ``min_queriers`` gate still applies at the select stage).
+_SKETCH_MARGIN = 0.5
+#: Streaming promotion bar cap: an originator materializes exact state
+#: once its estimate reaches ``min(_SKETCH_PROMOTE_CAP, gate)``.
+_SKETCH_PROMOTE_CAP = 4
+
 
 def default_forest_factory(seed: int) -> RandomForestClassifier:
     """The paper's preferred classifier (RF wins Table III)."""
@@ -136,28 +145,12 @@ class SensorConfig:
     materialize exact observations for survivors only (two passes —
     survivor features are bit-identical to the exact path); the
     streaming path promotes originators to exact state once their
-    estimate reaches the promote threshold (single pass).
+    estimate reaches the promote threshold (single pass).  Gate and
+    promote bars follow from ``min_queriers`` (:meth:`sketch_params`).
     """
-    sketch_width: int = 4096
-    """Count-min sketch columns per row (per-originator query counts)."""
-    sketch_depth: int = 4
-    """Count-min sketch rows (independent hash functions)."""
-    hll_precision: int = 6
-    """HyperLogLog precision p — ``2^p`` registers per originator."""
-    sketch_fp_rate: float = 0.01
-    """Dedup Bloom filter false-positive budget at ``sketch_capacity``."""
     sketch_capacity: int = 1 << 20
     """Distinct (originator, querier, 30 s bucket) events the dedup
     filter is sized for."""
-    sketch_margin: float = 0.5
-    """One-sided error margin of the approximate gate: the HLL estimate
-    is compared against ``(1 - margin) * min_queriers`` so that HLL
-    underestimation cannot silently drop analyzable originators.  The
-    exact ``min_queriers`` gate still applies at the select stage."""
-    sketch_promote_queriers: int = 0
-    """Streaming mode: estimate at which an originator starts
-    materializing exact state.  0 = auto (``min(4, gate)``); an explicit
-    value must not exceed the approximate gate threshold."""
 
     def __post_init__(self) -> None:
         if self.window_seconds <= 0:
@@ -170,11 +163,7 @@ class SensorConfig:
             raise ValueError("min_queriers must be positive")
         if self.majority_runs < 1:
             raise ValueError("majority_runs must be positive")
-        if not 0.0 <= self.sketch_margin < 1.0:
-            raise ValueError("sketch_margin must be in [0, 1)")
-        if self.sketch_promote_queriers < 0:
-            raise ValueError("sketch_promote_queriers must be non-negative (0 = auto)")
-        # SketchParams owns the geometry checks and promote <= gate.
+        # SketchParams owns the capacity check.
         self.sketch_params()
 
     @property
@@ -184,20 +173,16 @@ class SensorConfig:
     @property
     def sketch_gate_queriers(self) -> int:
         """The approximate gate threshold the HLL estimate is held to."""
-        return max(1, math.ceil((1.0 - self.sketch_margin) * self.min_queriers))
+        return max(1, math.ceil((1.0 - _SKETCH_MARGIN) * self.min_queriers))
 
     def sketch_params(self) -> SketchParams:
-        """The :class:`~repro.sketch.prestage.SketchParams` this config implies."""
+        """The :class:`~repro.sketch.prestage.SketchParams` this config
+        implies: HLL precision and Bloom FP budget at their defaults."""
         gate = self.sketch_gate_queriers
-        promote = self.sketch_promote_queriers or min(4, gate)
         return SketchParams(
-            width=self.sketch_width,
-            depth=self.sketch_depth,
-            hll_precision=self.hll_precision,
-            fp_rate=self.sketch_fp_rate,
             capacity=self.sketch_capacity,
             gate_queriers=gate,
-            promote_queriers=promote,
+            promote_queriers=min(_SKETCH_PROMOTE_CAP, gate),
             dedup_seconds=self.dedup_window,
             seed=self.seed,
         )
@@ -243,7 +228,9 @@ class SensedWindow:
     Keys: ``window_start`` / ``window_end``, per-stage counts
     (``originators``, ``selected``, ``featurized``, ``verdicts``) and a
     ``seconds`` dict with this window's select/featurize/classify wall
-    times plus ``total``.  Always populated (it reads span wall times,
+    times plus ``total``; with a pre-stage, a ``sketch`` dict of its
+    counters (``gate_kept`` / ``gate_dropped`` on batch windows only).
+    Always populated (it reads span wall times,
     which are measured whether or not a metrics registry is installed).
     """
 
@@ -394,13 +381,20 @@ class SensorEngine:
             count("repro_select_originators_total", items_in - kept,
                   help=help_select, result="dropped")
 
-    def _emit_sketch_metrics(self, prestage, selected) -> None:
-        """Publish one window's pre-stage counters (registry in scope)."""
-        help_gate = "Originators through the approximate analyzability gate."
-        count("repro_sketch_gate_originators_total", prestage.gate_kept,
-              help=help_gate, result="kept")
-        count("repro_sketch_gate_originators_total", prestage.gate_dropped,
-              help=help_gate, result="dropped")
+    def _emit_sketch_metrics(self, prestage) -> None:
+        """Publish one window's pre-stage counters (registry in scope).
+
+        The gate counter is batch-only: there the gate drops events,
+        while a streaming window selects on its promoted exact
+        observations and reading the gate would cost an HLL sweep over
+        every originator for telemetry alone.
+        """
+        if prestage.exact_observations:
+            help_gate = "Originators through the approximate analyzability gate."
+            count("repro_sketch_gate_originators_total", prestage.gate_kept,
+                  help=help_gate, result="kept")
+            count("repro_sketch_gate_originators_total", prestage.gate_dropped,
+                  help=help_gate, result="dropped")
         help_events = "Events through the sketch pre-stage, by outcome."
         count("repro_sketch_events_total", prestage.events_unique,
               help=help_events, result="unique")
@@ -418,16 +412,6 @@ class SensorEngine:
             set_gauge("repro_sketch_memory_bytes", nbytes,
                       help="Bytes held by each pre-stage structure.",
                       structure=structure)
-        if prestage.exact_observations and selected:
-            # Batch mode: survivors carry exact footprints, so the HLL's
-            # relative estimate error is directly measurable.
-            errors = prestage.error_against(
-                {o.originator: o.footprint for o in selected}
-            )
-            for error in errors:
-                observe("repro_sketch_estimate_error", float(error),
-                        help="Relative HLL unique-querier estimate error "
-                        "over exactly-materialized originators.")
 
     # -- ingest + window/dedup (streaming) ------------------------------
 
@@ -767,7 +751,7 @@ class SensorEngine:
             items_in = len(window) if prestage is None else prestage.originators_seen
             self._record_select(items_in, len(selected), select_span.elapsed)
             if prestage is not None and get_registry() is not None:
-                self._emit_sketch_metrics(prestage, selected)
+                self._emit_sketch_metrics(prestage)
             with span("stage.featurize") as featurize_span:
                 features = features_from_selected(window, selected, self.directory)
             self._record_stage(
@@ -927,10 +911,8 @@ class SensorEngine:
             }
             if window.prestage is not None:
                 prestage = window.prestage
-                sensed.telemetry["sketch"] = {
+                sketch = sensed.telemetry["sketch"] = {
                     "originators_seen": prestage.originators_seen,
-                    "gate_kept": prestage.gate_kept,
-                    "gate_dropped": prestage.gate_dropped,
                     "events_unique": prestage.events_unique,
                     "events_duplicate": prestage.events_duplicate,
                     "events_deferred": prestage.events_deferred,
@@ -938,6 +920,10 @@ class SensorEngine:
                     "resolver_replayed": prestage.resolver_replayed,
                     "memory_bytes": prestage.memory_bytes(),
                 }
+                if prestage.exact_observations:
+                    # Batch windows only (see _emit_sketch_metrics).
+                    sketch["gate_kept"] = prestage.gate_kept
+                    sketch["gate_dropped"] = prestage.gate_dropped
             if get_registry() is not None:
                 observe("repro_window_seconds", sp.elapsed,
                         help="Wall time to sense one observation window.")

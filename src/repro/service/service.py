@@ -187,17 +187,28 @@ class BackscatterService:
     # -- lifecycle ------------------------------------------------------
 
     async def start(self) -> "BackscatterService":
-        """Bind HTTP (and the optional feed listener/tail), start the pump."""
+        """Bind HTTP (and the optional feed listener/tail), start the pump.
+
+        Listeners bind first: a bind failure (``OSError``, e.g. a busy
+        port) closes whichever listener did bind and re-raises before the
+        pump exists, so the service can be started again once the
+        address is free.
+        """
         if self._started:
             raise RuntimeError("service already started")
         self._started = True
+        try:
+            await self._http.start(self.config.host, self.config.port)
+            if self.config.feed_port is not None:
+                self._feed_server = await asyncio.start_server(
+                    self._handle_feed, self.config.host, self.config.feed_port
+                )
+        except BaseException:
+            await self._http.stop()
+            self._started = False
+            raise
         self._queue = asyncio.Queue()
         self._pump_task = asyncio.create_task(self._pump(), name="service-pump")
-        await self._http.start(self.config.host, self.config.port)
-        if self.config.feed_port is not None:
-            self._feed_server = await asyncio.start_server(
-                self._handle_feed, self.config.host, self.config.feed_port
-            )
         if self.config.feed_path is not None:
             self._tail_task = asyncio.create_task(
                 self._tail(), name="service-tail"

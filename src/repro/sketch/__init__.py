@@ -9,25 +9,23 @@ Layout::
 
     repro.sketch
     ├── hashing    seeded splitmix64 (scalar + vectorized, bit-identical)
-    ├── cms        CountMinSketch — per-originator query counts
     ├── hll        HyperLogLog / HllBank — unique-querier cardinality
     ├── bloom      BloomFilter — 30 s (originator, querier, qtype) dedup
     └── prestage   SketchParams / SketchPreStage — the composed gate
 
-All structures hash deterministically from a single seed and merge
-(``a | b`` or ``a.merge(b)``) when built with equal parameters, so
-per-shard instances can be federated before gating.
+Every structure hashes deterministically from a single seed, so equal
+parameters give bit-identical state on any host.  A pre-stage is
+window-scoped and never combined with another: sharded runs keep one
+per shard and gate each shard's originators on its own.
 """
 
 from repro.sketch.bloom import BloomFilter
-from repro.sketch.cms import CountMinSketch
 from repro.sketch.hashing import mix64, mix64_array
 from repro.sketch.hll import HllBank, HyperLogLog
 from repro.sketch.prestage import SketchParams, SketchPreStage
 
 __all__ = [
     "BloomFilter",
-    "CountMinSketch",
     "HllBank",
     "HyperLogLog",
     "SketchParams",

@@ -12,8 +12,7 @@ analyzability gate — it can only *under*-count a querier, and the
 gate's margin absorbs it.
 
 Probes use Kirsch–Mitzenstein double hashing (``h1 + i·h2``), bits
-packed in a uint64 word array.  Two filters with equal ``(capacity,
-fp_rate, seed)`` are aligned and merge by OR.
+packed in a uint64 word array.
 """
 
 from __future__ import annotations
@@ -140,37 +139,6 @@ class BloomFilter:
         """Fraction of bits set — sanity signal for capacity sizing."""
         set_bits = int(np.bitwise_count(self._words).sum())
         return set_bits / self.bits
-
-    # -- algebra ---------------------------------------------------------
-
-    def _check_compatible(self, other: "BloomFilter") -> None:
-        if not isinstance(other, BloomFilter):
-            raise TypeError(f"cannot combine BloomFilter with {type(other).__name__}")
-        if (self.capacity, self.fp_rate, self.seed) != (
-            other.capacity,
-            other.fp_rate,
-            other.seed,
-        ):
-            raise ValueError(
-                "incompatible filters: "
-                f"(capacity={self.capacity}, fp_rate={self.fp_rate}, seed={self.seed}) vs "
-                f"(capacity={other.capacity}, fp_rate={other.fp_rate}, seed={other.seed})"
-            )
-
-    def merge(self, other: "BloomFilter") -> "BloomFilter":
-        """Fold *other* in (bitwise OR, in place); returns self."""
-        self._check_compatible(other)
-        np.bitwise_or(self._words, other._words, out=self._words)
-        return self
-
-    def __or__(self, other: "BloomFilter") -> "BloomFilter":
-        """A new filter equivalent to inserting both key sets."""
-        return self.copy().merge(other)
-
-    def copy(self) -> "BloomFilter":
-        clone = BloomFilter(self.capacity, self.fp_rate, self.seed)
-        clone._words[:] = self._words
-        return clone
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BloomFilter):

@@ -3,7 +3,8 @@
 Two shapes share one register layout and one estimator:
 
 * :class:`HyperLogLog` — a standalone counter (one set, ``m = 2^p``
-  uint8 registers), used for whole-window uniques and in tests;
+  uint8 registers), what :meth:`HllBank.extract` returns and the
+  tests' reference for a bank row;
 * :class:`HllBank` — many counters packed in one 2-D register matrix
   keyed by an integer (the pre-stage keys it by originator).  Growing a
   bank doubles one array instead of allocating 100k tiny objects, and
@@ -143,33 +144,6 @@ class HyperLogLog:
     def __len__(self) -> int:
         return int(round(self.cardinality()))
 
-    # -- algebra ---------------------------------------------------------
-
-    def _check_compatible(self, other: "HyperLogLog") -> None:
-        if not isinstance(other, HyperLogLog):
-            raise TypeError(f"cannot combine HyperLogLog with {type(other).__name__}")
-        if (self.precision, self.seed) != (other.precision, other.seed):
-            raise ValueError(
-                "incompatible HLLs: "
-                f"(precision={self.precision}, seed={self.seed}) vs "
-                f"(precision={other.precision}, seed={other.seed})"
-            )
-
-    def merge(self, other: "HyperLogLog") -> "HyperLogLog":
-        """Fold *other* in (register-wise max, in place); returns self."""
-        self._check_compatible(other)
-        np.maximum(self._registers, other._registers, out=self._registers)
-        return self
-
-    def __or__(self, other: "HyperLogLog") -> "HyperLogLog":
-        """A new HLL equivalent to observing both streams."""
-        return self.copy().merge(other)
-
-    def copy(self) -> "HyperLogLog":
-        clone = HyperLogLog(self.precision, self.seed)
-        clone._registers[:] = self._registers
-        return clone
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, HyperLogLog):
             return NotImplemented
@@ -258,17 +232,6 @@ class HllBank:
         flat = slots * np.intp(self._registers.shape[1]) + index
         np.maximum.at(self._registers.reshape(-1), flat, rank)
 
-    def ensure_keys(self, keys: np.ndarray) -> None:
-        """Create (empty) rows for *keys* in the given order.
-
-        Callers that split one event chunk into several per-group
-        :meth:`add_batch` passes use this to pin bank insertion order to
-        first-occurrence order up front, so survivor/merge iteration
-        order stays identical to feeding the events one by one.
-        """
-        keys = np.asarray(keys, dtype=np.int64)
-        self.resolve_slots(keys, create_order=np.arange(keys.size, dtype=np.intp))
-
     def resolve_slots(
         self, keys: np.ndarray, create_order: np.ndarray | None = None
     ) -> np.ndarray:
@@ -306,7 +269,13 @@ class HllBank:
     def estimate_slots(
         self, slots: np.ndarray, with_zeros: bool = False
     ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-        """Estimates for pre-resolved (valid) *slots*; see :meth:`estimate_many`."""
+        """Estimates aligned with pre-resolved (valid) *slots*.
+
+        Chunked like :meth:`estimate_all` so the float64 temporaries
+        stay bounded.  With ``with_zeros`` the per-slot zero-register
+        counts come back too — the streaming promotion resolver needs
+        them to bound the linear-counting branch over a whole chunk.
+        """
         slots = np.asarray(slots, dtype=np.intp)
         n = int(slots.size)
         estimates = np.zeros(n, dtype=np.float64)
@@ -336,58 +305,6 @@ class HllBank:
             return 0.0
         return float(_estimate_rows(self._registers[slot][np.newaxis, :])[0])
 
-    def estimate_many(
-        self, keys: np.ndarray, with_zeros: bool = False
-    ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-        """Estimates aligned with *keys* — the batched subset twin of
-        :meth:`estimate` (unseen keys estimate 0.0 with all ``m``
-        registers zero).
-
-        Chunked like :meth:`estimate_all` so the float64 temporaries
-        stay bounded.  With ``with_zeros`` the per-key zero-register
-        counts come back too — the streaming promotion resolver needs
-        them to bound the linear-counting branch over a whole chunk.
-        """
-        keys = np.asarray(keys, dtype=np.int64)
-        n = int(keys.size)
-        estimates = np.zeros(n, dtype=np.float64)
-        zeros = np.full(n, 1 << self.precision, dtype=np.int64)
-        if n:
-            slots = self.resolve_slots(keys)
-            seen = np.flatnonzero(slots >= 0)
-            if seen.size:
-                if with_zeros:
-                    est, zero = self.estimate_slots(slots[seen], with_zeros=True)
-                    estimates[seen] = est
-                    zeros[seen] = zero
-                else:
-                    estimates[seen] = self.estimate_slots(slots[seen])
-        if with_zeros:
-            return estimates, zeros
-        return estimates
-
-    def snapshot_rows(self, keys: np.ndarray) -> np.ndarray:
-        """Copy of the register rows for *keys* (which must all exist).
-
-        Paired with :meth:`restore_rows`: the streaming promotion
-        resolver snapshots possible bar-crossers before a chunked
-        :meth:`add_batch`, then rewinds exactly those rows for an
-        event-by-event replay.
-        """
-        keys = np.asarray(keys, dtype=np.int64)
-        slots = np.fromiter(
-            (self._slots[int(key)] for key in keys), dtype=np.intp, count=keys.size
-        )
-        return self._registers[slots]
-
-    def restore_rows(self, keys: np.ndarray, rows: np.ndarray) -> None:
-        """Write *rows* (from :meth:`snapshot_rows`) back over *keys*."""
-        keys = np.asarray(keys, dtype=np.int64)
-        slots = np.fromiter(
-            (self._slots[int(key)] for key in keys), dtype=np.intp, count=keys.size
-        )
-        self._registers[slots] = rows
-
     def estimate_all(self) -> tuple[np.ndarray, np.ndarray]:
         """``(keys, estimates)`` for every key, in insertion order.
 
@@ -409,25 +326,6 @@ class HllBank:
         if slot is not None:
             single._registers[:] = self._registers[slot]
         return single
-
-    def merge(self, other: "HllBank") -> "HllBank":
-        """Fold *other* in (register-wise max per key, in place)."""
-        if not isinstance(other, HllBank):
-            raise TypeError(f"cannot combine HllBank with {type(other).__name__}")
-        if (self.precision, self.seed) != (other.precision, other.seed):
-            raise ValueError(
-                "incompatible banks: "
-                f"(precision={self.precision}, seed={self.seed}) vs "
-                f"(precision={other.precision}, seed={other.seed})"
-            )
-        for key, their_slot in other._slots.items():
-            my_slot = self._slot(key)
-            np.maximum(
-                self._registers[my_slot],
-                other._registers[their_slot],
-                out=self._registers[my_slot],
-            )
-        return self
 
     def __contains__(self, key: int) -> bool:
         return key in self._slots

@@ -8,8 +8,6 @@ exists:
 * a :class:`~repro.sketch.bloom.BloomFilter` dedups repeated
   ``(originator, querier, qtype, 30 s bucket)`` events — the sensor
   retains only PTR queries, so qtype folds in as a constant;
-* a :class:`~repro.sketch.cms.CountMinSketch` tracks deduped query
-  volume per originator;
 * an :class:`~repro.sketch.hll.HllBank` estimates unique queriers per
   originator — the quantity the gate thresholds;
 * an exact *querier roster* (unique querier addresses, O(queriers) not
@@ -25,7 +23,8 @@ Two operating modes share the class:
   and feature rows are bit-identical to the exact path; the only error
   is one-sided — an analyzable originator is dropped only if its HLL
   estimate lands below ``gate_queriers``, which the margin built into
-  the gate (see ``SensorConfig.sketch_margin``) makes vanishingly rare.
+  the gate (see ``SensorConfig.sketch_gate_queriers``) makes vanishingly
+  rare.
 * **streaming** (single-pass): the collector passes each window segment
   to :meth:`observe_arrays` and an originator is *promoted* to exact
   state once its estimate reaches ``promote_queriers``; events before
@@ -38,7 +37,7 @@ Two operating modes share the class:
 Dedup note: the Bloom key uses fixed ``⌊t/30 s⌋`` buckets, not the
 exact path's sliding 30 s horizon.  Unique-querier counts (the gate
 input) are unaffected — duplicates never add to an HLL — only the
-CMS query-volume telemetry sees the coarser dedup.
+``events_unique`` / ``events_duplicate`` counters see the coarser dedup.
 """
 
 from __future__ import annotations
@@ -49,7 +48,6 @@ from typing import Mapping
 import numpy as np
 
 from repro.sketch.bloom import BloomFilter
-from repro.sketch.cms import CountMinSketch
 from repro.sketch.hashing import MASK64, derive_seed, mix64, mix64_array
 from repro.sketch.hll import HllBank
 
@@ -103,8 +101,6 @@ class SketchParams:
     originators that never materialized.
     """
 
-    width: int = 4096
-    depth: int = 4
     hll_precision: int = 6
     fp_rate: float = 0.01
     capacity: int = 1 << 20
@@ -114,10 +110,6 @@ class SketchParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.width < 1:
-            raise ValueError(f"width must be >= 1, got {self.width}")
-        if self.depth < 1:
-            raise ValueError(f"depth must be >= 1, got {self.depth}")
         if not 4 <= self.hll_precision <= 16:
             raise ValueError(f"hll_precision must be in [4, 16], got {self.hll_precision}")
         if not 0.0 < self.fp_rate < 1.0:
@@ -186,9 +178,6 @@ class _UniqueInts:
             self._merged = self._chunks[0] if self._chunks else np.zeros(0, dtype=np.int64)
         return self._merged
 
-    def update(self, other: "_UniqueInts") -> None:
-        self.add_array(other.array())
-
     @property
     def nbytes(self) -> int:
         return 8 * (sum(chunk.size for chunk in self._chunks) + len(self._buffer))
@@ -216,7 +205,6 @@ class SketchPreStage:
     __slots__ = (
         "params",
         "bloom",
-        "counts",
         "uniques",
         "exact_observations",
         "events_unique",
@@ -235,9 +223,6 @@ class SketchPreStage:
         self.params = params
         self.bloom = BloomFilter(
             params.capacity, params.fp_rate, seed=derive_seed(params.seed, 0x707265_01)
-        )
-        self.counts = CountMinSketch(
-            params.width, params.depth, seed=derive_seed(params.seed, 0x707265_02)
         )
         self.uniques = HllBank(
             params.hll_precision, seed=derive_seed(params.seed, 0x707265_03)
@@ -282,7 +267,6 @@ class SketchPreStage:
                 return DUPLICATE
         self._gate_cache = None
         self.events_unique += 1
-        self.counts.add(originator)
         changed = self.uniques.add(originator, querier)
         if originator in self._promoted:
             return KEEP
@@ -329,7 +313,6 @@ class SketchPreStage:
             else:
                 kept = slice(None)
                 self.events_unique += int(stop - start)
-            self.counts.add_batch(o[kept])
             self.uniques.add_batch(o[kept], q[kept])
 
     def observe_arrays(
@@ -402,7 +385,6 @@ class SketchPreStage:
         self._gate_cache = None
         o = originators[kept]
         q = queriers[kept]
-        self.counts.add_batch(o)
         uniq, ufirst, inverse = np.unique(o, return_index=True, return_inverse=True)
         # One dict sweep resolves every originator's bank row; missing
         # rows are created in chronological first-occurrence order so the
@@ -487,7 +469,13 @@ class SketchPreStage:
         return self._gate_cache
 
     def survivors(self) -> np.ndarray:
-        """Originators whose estimated unique queriers pass the gate."""
+        """Originators whose estimated unique queriers pass the gate.
+
+        One HLL sweep over every originator summarized (cached until the
+        next unique event).  Only batch mode selects with it; a streaming
+        window selects on its promoted exact observations, so the engine
+        never reads the gate there.
+        """
         keys, estimates = self._gate()
         return keys[estimates >= self.params.gate_queriers]
 
@@ -504,14 +492,6 @@ class SketchPreStage:
     def gate_dropped(self) -> int:
         return self.originators_seen - self.gate_kept
 
-    def estimate_queriers(self, originator: int) -> float:
-        """Estimated unique queriers of one originator."""
-        return self.uniques.estimate(originator)
-
-    def estimate_count(self, originator: int) -> int:
-        """Estimated (deduped) query count of one originator."""
-        return self.counts.estimate(originator)
-
     def is_promoted(self, originator: int) -> bool:
         return originator in self._promoted
 
@@ -522,27 +502,13 @@ class SketchPreStage:
     # -- accounting ------------------------------------------------------
 
     def memory_bytes(self) -> dict[str, int]:
-        """Bytes held per structure — the telemetry gauge payload."""
+        """Bytes held per structure (``bloom``, ``hll``, ``roster``) — the
+        telemetry gauge payload."""
         return {
             "bloom": self.bloom.memory_bytes,
-            "cms": self.counts.memory_bytes,
             "hll": self.uniques.memory_bytes,
             "roster": self._roster.nbytes,
         }
-
-    def error_against(self, exact_footprints: Mapping[int, int]) -> np.ndarray:
-        """Relative unique-querier estimate error per known originator.
-
-        *exact_footprints* maps originator → true unique-querier count
-        (available for survivors in batch mode); returns
-        ``|estimate − true| / true`` aligned with the mapping's order.
-        """
-        errors = np.zeros(len(exact_footprints), dtype=np.float64)
-        for i, (originator, true_count) in enumerate(exact_footprints.items()):
-            if true_count > 0:
-                estimate = self.uniques.estimate(originator)
-                errors[i] = abs(estimate - true_count) / true_count
-        return errors
 
     def false_drops(self, exact_footprints: Mapping[int, int], min_queriers: int) -> int:
         """How many truly-analyzable originators the gate dropped.
@@ -558,33 +524,6 @@ class SketchPreStage:
             for originator, footprint in exact_footprints.items()
             if footprint >= min_queriers and originator not in kept
         )
-
-    # -- algebra ---------------------------------------------------------
-
-    def merge(self, other: "SketchPreStage") -> "SketchPreStage":
-        """Fold another shard's pre-stage in (same params/seed required)."""
-        if not isinstance(other, SketchPreStage):
-            raise TypeError(f"cannot combine SketchPreStage with {type(other).__name__}")
-        if self.params != other.params:
-            raise ValueError(f"incompatible pre-stages: {self.params} vs {other.params}")
-        self.bloom.merge(other.bloom)
-        self.counts.merge(other.counts)
-        self.uniques.merge(other.uniques)
-        self._roster.update(other._roster)
-        self._promoted |= other._promoted
-        self._promoted_arr = None
-        self.events_unique += other.events_unique
-        self.events_duplicate += other.events_duplicate
-        self.events_deferred += other.events_deferred
-        self.resolver_wholesale += other.resolver_wholesale
-        self.resolver_replayed += other.resolver_replayed
-        self._gate_cache = None
-        return self
-
-    def __or__(self, other: "SketchPreStage") -> "SketchPreStage":
-        clone = SketchPreStage(self.params)
-        clone.exact_observations = self.exact_observations
-        return clone.merge(self).merge(other)
 
     def __repr__(self) -> str:
         return (

@@ -224,7 +224,6 @@ class TestBatchEquivalence:
             window_seconds=100.0,
             min_queriers=3,
             sketch_enabled=True,
-            hll_precision=10,
         )
         entries = synthetic_entries()
         engine = SensorEngine(directory, config)
@@ -317,7 +316,6 @@ class TestStreamingEquivalence:
             window_seconds=100.0,
             min_queriers=3,
             sketch_enabled=True,
-            hll_precision=10,
         )
         block = EntryBlock.from_entries(synthetic_entries())
         engine = SensorEngine(directory, config)
@@ -350,7 +348,6 @@ class TestStreamingEquivalence:
             window_seconds=100.0,
             min_queriers=3,
             sketch_enabled=True,
-            hll_precision=10,
         )
         entries = synthetic_entries()
         engine = SensorEngine(directory, config)

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import asyncio
 import json
+import multiprocessing
 import re
+import socket
 import struct
 import threading
 
@@ -411,6 +413,77 @@ class TestServeCli:
             served.append(re.search(r"served 3 windows, \d+ verdicts", out))
         # Forked shard workers or one engine: same windows, same verdicts.
         assert served[0] and served[1] and served[1][0] == served[0][0]
+
+    @pytest.mark.parametrize("shards", ["1", "2"])
+    def test_busy_port_exits_1_in_one_line(self, serialized_world, capsys, shards):
+        from repro.cli import main
+
+        log_path, dir_path, labels_path = serialized_world
+        with socket.socket() as busy:
+            busy.bind(("127.0.0.1", 0))
+            busy.listen()
+            port = busy.getsockname()[1]
+            code = main(
+                [
+                    "serve",
+                    "-l", str(log_path),
+                    "-d", str(dir_path),
+                    "-t", str(labels_path),
+                    "--port", str(port),
+                    "--window", "100",
+                    "--min-queriers", "3",
+                    "--once",
+                    "--shards", shards,
+                ]
+            )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "Traceback" not in captured.err
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and str(port) in lines[0]
+        assert "serving http" not in captured.out
+        # The service's engine was closed: no shard worker outlives main().
+        assert multiprocessing.active_children() == []
+
+
+def _free_port() -> int:
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        return probe.getsockname()[1]
+
+
+class TestStartUnwinds:
+    def test_busy_feed_port_unwinds_and_start_can_be_retried(self):
+        directory, config, trainer, _, _ = trained_world()
+
+        async def run():
+            with socket.socket() as busy:
+                busy.bind(("127.0.0.1", 0))
+                busy.listen()
+                http_port = _free_port()
+                service = BackscatterService(
+                    directory,
+                    ServiceConfig(
+                        port=http_port,
+                        feed_port=busy.getsockname()[1],
+                        sensor=config,
+                    ),
+                )
+                service.fit_from(trainer)
+                with pytest.raises(OSError):
+                    await service.start()
+                # Unwound: no listener, no pump task left behind.
+                assert service.http_address is None
+                assert asyncio.all_tasks() == {asyncio.current_task()}
+                with socket.socket() as rebind:
+                    rebind.bind(("127.0.0.1", http_port))
+                # A retry fails on the still-busy feed port, not with
+                # "service already started".
+                with pytest.raises(OSError):
+                    await service.start()
+            service.engine.close()
+
+        asyncio.run(run())
 
 
 class _CountingFactory:

@@ -5,10 +5,8 @@ test pins a *hard* invariant — never a distributional hope:
 
 * Bloom filters have no false negatives, and their false-positive rate
   stays within a slack factor of the configured budget;
-* count-min never undercounts;
 * HLL estimates stay within the theoretical relative error
   (``1.04/sqrt(m)``, generously slackened for small cardinalities);
-* merge is associative/commutative and equals sketching the union;
 * batch ingest is bit-identical to the scalar path.
 """
 
@@ -17,13 +15,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sketch import (
     BloomFilter,
-    CountMinSketch,
     HllBank,
     HyperLogLog,
     mix64,
@@ -91,78 +87,6 @@ class TestBloomProperties:
         # 3x slack over the design budget on 50k disjoint probes.
         assert hits / probes.size <= 3.0 * fp_rate
 
-    @given(keys, keys, seeds)
-    def test_merge_equals_union(self, a_values, b_values, seed):
-        a = BloomFilter(capacity=4096, fp_rate=0.01, seed=seed)
-        b = BloomFilter(capacity=4096, fp_rate=0.01, seed=seed)
-        both = BloomFilter(capacity=4096, fp_rate=0.01, seed=seed)
-        a.add_batch(key_array(sorted(set(a_values))))
-        b.add_batch(key_array(sorted(set(b_values))))
-        both.add_batch(key_array(sorted(set(a_values) | set(b_values))))
-        assert (a | b) == both
-        assert (a | b) == (b | a)
-
-    def test_incompatible_merge_raises(self):
-        with pytest.raises(ValueError):
-            BloomFilter(seed=1).merge(BloomFilter(seed=2))
-        with pytest.raises(TypeError):
-            BloomFilter().merge(object())  # type: ignore[arg-type]
-
-
-class TestCountMinProperties:
-    @given(keys, seeds)
-    def test_never_undercounts(self, values, seed):
-        cms = CountMinSketch(width=64, depth=3, seed=seed)
-        for value in values:
-            cms.add(value)
-        truth: dict[int, int] = {}
-        for value in values:
-            truth[value] = truth.get(value, 0) + 1
-        for value, count in truth.items():
-            assert cms.estimate(value) >= count
-        if truth:
-            probe = key_array(sorted(truth))
-            assert bool(
-                (cms.estimate_batch(probe) >= [truth[int(v)] for v in probe]).all()
-            )
-
-    @given(keys, seeds)
-    def test_batch_matches_scalar(self, values, seed):
-        scalar = CountMinSketch(width=128, depth=4, seed=seed)
-        batch = CountMinSketch(width=128, depth=4, seed=seed)
-        for value in values:
-            scalar.add(value)
-        batch.add_batch(key_array(values))
-        assert scalar == batch
-
-    @given(keys, keys, seeds)
-    def test_merge_equals_union_and_commutes(self, a_values, b_values, seed):
-        def sketch_of(stream):
-            cms = CountMinSketch(width=128, depth=4, seed=seed)
-            cms.add_batch(key_array(stream))
-            return cms
-
-        a, b = sketch_of(a_values), sketch_of(b_values)
-        assert (a | b) == sketch_of(a_values + b_values)
-        assert (a | b) == (b | a)
-
-    @given(keys, keys, keys, seeds)
-    @settings(max_examples=25)
-    def test_merge_associative(self, a_values, b_values, c_values, seed):
-        def sketch_of(stream):
-            cms = CountMinSketch(width=64, depth=3, seed=seed)
-            cms.add_batch(key_array(stream))
-            return cms
-
-        a, b, c = sketch_of(a_values), sketch_of(b_values), sketch_of(c_values)
-        assert ((a | b) | c) == (a | (b | c))
-
-    @given(keys, seeds)
-    def test_total_is_exact(self, values, seed):
-        cms = CountMinSketch(width=32, depth=2, seed=seed)
-        cms.add_batch(key_array(values))
-        assert cms.total == len(values)
-
 
 class TestHyperLogLogProperties:
     @given(st.integers(min_value=0, max_value=5000), seeds)
@@ -193,32 +117,6 @@ class TestHyperLogLogProperties:
         once = hll.cardinality()
         hll.add_batch(key_array(values))
         assert hll.cardinality() == once
-
-    @given(keys, keys, seeds)
-    def test_merge_equals_union_and_commutes(self, a_values, b_values, seed):
-        def hll_of(stream):
-            hll = HyperLogLog(precision=7, seed=seed)
-            hll.add_batch(key_array(stream))
-            return hll
-
-        a, b = hll_of(a_values), hll_of(b_values)
-        assert (a | b) == hll_of(a_values + b_values)
-        assert (a | b) == (b | a)
-
-    @given(keys, keys, keys, seeds)
-    @settings(max_examples=25)
-    def test_merge_associative(self, a_values, b_values, c_values, seed):
-        def hll_of(stream):
-            hll = HyperLogLog(precision=6, seed=seed)
-            hll.add_batch(key_array(stream))
-            return hll
-
-        a, b, c = hll_of(a_values), hll_of(b_values), hll_of(c_values)
-        assert ((a | b) | c) == (a | (b | c))
-
-    def test_incompatible_merge_raises(self):
-        with pytest.raises(ValueError):
-            HyperLogLog(precision=6).merge(HyperLogLog(precision=8))
 
 
 class TestHllBankProperties:
@@ -268,28 +166,6 @@ class TestHllBankProperties:
         # order in the pre-stage depends on it.
         assert np.array_equal(scalar_keys, batch_keys)
         assert np.array_equal(scalar_estimates, batch_estimates)
-
-    @given(keys, keys, seeds)
-    def test_merge_equals_union(self, a_items, b_items, seed):
-        def bank_of(*streams):
-            bank = HllBank(precision=6, seed=seed)
-            for key, stream in enumerate(streams):
-                for item in stream:
-                    bank.add(key, item)
-            return bank
-
-        a = bank_of(a_items)
-        b = HllBank(precision=6, seed=seed)
-        for item in b_items:
-            b.add(1, item)
-        merged = a.merge(b)
-        both = HllBank(precision=6, seed=seed)
-        for item in a_items:
-            both.add(0, item)
-        for item in b_items:
-            both.add(1, item)
-        assert merged.estimate(0) == both.estimate(0)
-        assert merged.estimate(1) == both.estimate(1)
 
     def test_bank_grows_past_initial_capacity(self):
         bank = HllBank(precision=4, seed=0)

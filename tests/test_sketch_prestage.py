@@ -1,15 +1,16 @@
 """The sketch pre-stage wired into the sensing pipeline.
 
 Covers: SketchParams / SensorConfig sketch-knob validation and the gate
-math; batch-mode agreement (sketch-on selection and feature matrices
+rule; batch-mode agreement (sketch-on selection and feature matrices
 identical to the exact path); streaming-mode promotion (materialized
 originators are a superset of the exactly-analyzable ones, footprints
 never overshoot exact); the exact querier roster; and the telemetry
-the pre-stage publishes.
+the pre-stage publishes (gate counts from batch windows only).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -22,6 +23,7 @@ from repro.netmodel.world import NameStatus
 from repro.sensor.directory import QuerierInfo, StaticDirectory
 from repro.sensor.engine import SensorConfig, SensorEngine
 from repro.sensor.selection import analyzable
+from repro.sketch.hll import HllBank
 from repro.sketch.prestage import DEFER, DUPLICATE, KEEP, SketchParams, SketchPreStage
 from repro.telemetry import MetricsRegistry
 
@@ -66,8 +68,6 @@ class TestSketchParams:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"width": 0},
-            {"depth": 0},
             {"hll_precision": 3},
             {"hll_precision": 17},
             {"fp_rate": 0.0},
@@ -89,62 +89,41 @@ class TestSketchParams:
 
 
 class TestSensorConfigSketchKnobs:
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"sketch_width": 0},
-            {"sketch_depth": 0},
-            {"hll_precision": 3},
-            {"hll_precision": 17},
-            {"sketch_fp_rate": 0.0},
-            {"sketch_fp_rate": 1.0},
-            {"sketch_capacity": 0},
-            {"sketch_margin": -0.1},
-            {"sketch_margin": 1.0},
-            {"sketch_promote_queriers": -1},
-            {"min_queriers": 10, "sketch_margin": 0.5, "sketch_promote_queriers": 6},
-        ],
-    )
+    @pytest.mark.parametrize("kwargs", [{"sketch_capacity": 0}])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             SensorConfig(**kwargs)
 
     @pytest.mark.parametrize(
-        ("min_queriers", "margin", "expected"),
-        [(20, 0.5, 10), (10, 0.5, 5), (10, 0.0, 10), (3, 0.9, 1), (1, 0.5, 1)],
+        ("min_queriers", "expected"), [(20, 10), (10, 5), (3, 2), (1, 1)]
     )
-    def test_gate_math(self, min_queriers, margin, expected):
-        config = SensorConfig(min_queriers=min_queriers, sketch_margin=margin)
+    def test_gate_math(self, min_queriers, expected):
+        config = SensorConfig(min_queriers=min_queriers)
         assert config.sketch_gate_queriers == expected
-        assert config.sketch_gate_queriers == max(
-            1, math.ceil((1 - margin) * min_queriers)
-        )
+        assert config.sketch_gate_queriers == max(1, math.ceil(0.5 * min_queriers))
 
     def test_sketch_params_mirror_config(self):
         config = SensorConfig(
-            min_queriers=10,
-            sketch_enabled=True,
-            sketch_width=512,
-            sketch_depth=3,
-            hll_precision=8,
-            sketch_fp_rate=0.005,
-            sketch_capacity=9999,
-            seed=77,
+            min_queriers=10, sketch_enabled=True, sketch_capacity=9999, seed=77
         )
         params = config.sketch_params()
-        assert (params.width, params.depth) == (512, 3)
-        assert params.hll_precision == 8
-        assert params.fp_rate == 0.005
+        defaults = SketchParams()
+        assert params.hll_precision == defaults.hll_precision
+        assert params.fp_rate == defaults.fp_rate
         assert params.capacity == 9999
-        assert params.gate_queriers == config.sketch_gate_queriers
-        # promote=0 means auto: small, but never above the gate.
-        assert 1 <= params.promote_queriers <= params.gate_queriers
+        assert params.gate_queriers == config.sketch_gate_queriers == 5
+        assert params.promote_queriers == min(4, params.gate_queriers) == 4
         assert params.dedup_seconds == config.dedup_window
         assert params.seed == 77
 
-    def test_explicit_promote_respected(self):
-        config = SensorConfig(min_queriers=10, sketch_promote_queriers=2)
-        assert config.sketch_params().promote_queriers == 2
+    def test_deleted_knobs_are_gone(self):
+        assert len(dataclasses.fields(SensorConfig)) == 10
+        for knob in (
+            "sketch_width", "sketch_depth", "hll_precision",
+            "sketch_fp_rate", "sketch_margin", "sketch_promote_queriers",
+        ):
+            with pytest.raises(TypeError):
+                SensorConfig(**{knob: 1})
 
 
 class TestBatchAgreement:
@@ -287,9 +266,9 @@ class TestTelemetry:
             "repro_sketch_gate_originators_total",
             "repro_sketch_events_total",
             "repro_sketch_memory_bytes",
-            "repro_sketch_estimate_error",
         ):
             assert f"# TYPE {family}" in text, family
+        assert "repro_sketch_estimate_error" not in text
 
     def test_gate_counters_add_up(self):
         entries = synthetic_entries()
@@ -329,7 +308,42 @@ class TestTelemetry:
         sensed = engine.process(entries, 0.0, WINDOW, classify=False)[0]
         sketch = sensed.telemetry["sketch"]
         assert sketch["originators_seen"] == sensed.window.prestage.originators_seen
-        assert set(sketch["memory_bytes"]) == {"bloom", "cms", "hll", "roster"}
+        assert set(sketch["memory_bytes"]) == {"bloom", "hll", "roster"}
+
+    def test_streaming_windows_never_sweep_the_gate(self, monkeypatch):
+        entries = synthetic_entries(windows=2)
+        config = SensorConfig(
+            window_seconds=WINDOW, min_queriers=10,
+            sketch_enabled=True, sketch_capacity=len(entries),
+        )
+
+        def stream(registry):
+            engine = SensorEngine(directory_for(entries), config, registry=registry)
+            engine.ingest_many(entries)
+            return engine.poll(classify=False) + engine.finish(classify=False)
+
+        reference = stream(None)
+
+        def sweep(self):
+            raise AssertionError("streaming window read the approximate gate")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(HllBank, "estimate_all", sweep)
+            registry = MetricsRegistry()
+            sensed = stream(registry)
+        assert len(sensed) == len(reference) == 2
+        for got, want in zip(sensed, reference):
+            assert np.array_equal(got.features.originators, want.features.originators)
+            assert np.array_equal(got.features.matrix, want.features.matrix)
+            assert "gate_kept" not in got.telemetry["sketch"]
+        assert "repro_sketch_gate_originators_total" not in registry
+        assert "repro_sketch_events_total" in registry
+        # A batch window, where the gate does drop events, still counts it.
+        batch_registry = MetricsRegistry()
+        SensorEngine(directory_for(entries), config, registry=batch_registry).process(
+            entries, 0.0, 2 * WINDOW, classify=False
+        )
+        assert "repro_sketch_gate_originators_total" in batch_registry
 
     def test_exact_mode_has_no_sketch_block(self):
         entries = synthetic_entries()
@@ -362,26 +376,3 @@ class TestPreStageProperties:
         assert scalar.events_duplicate == batch.events_duplicate
         assert np.array_equal(scalar.survivors(), batch.survivors())
         assert np.array_equal(scalar.roster_array(), batch.roster_array())
-
-    @given(st.integers(min_value=0, max_value=2**32))
-    @settings(max_examples=15, deadline=None)
-    def test_merge_matches_single_stage(self, seed):
-        rng = np.random.default_rng(seed)
-        n = 200
-        timestamps = np.sort(rng.uniform(0.0, 600.0, n))
-        queriers = rng.integers(1, 40, n).astype(np.int64)
-        originators = rng.integers(1, 12, n).astype(np.int64)
-        params = SketchParams(gate_queriers=3, promote_queriers=3, capacity=4096)
-        whole = SketchPreStage(params)
-        whole.observe_batch(timestamps, queriers, originators)
-        left, right = SketchPreStage(params), SketchPreStage(params)
-        half = n // 2
-        left.observe_batch(timestamps[:half], queriers[:half], originators[:half])
-        right.observe_batch(timestamps[half:], queriers[half:], originators[half:])
-        merged = left | right
-        # Sharded dedup can only miss cross-shard duplicates, so unique
-        # counts are >= the single-stage ones (documented one-sided
-        # semantics); the gate estimate itself is duplicate-insensitive.
-        assert merged.events_unique >= whole.events_unique
-        assert set(merged.survivors()) >= set(whole.survivors())
-        assert np.array_equal(merged.roster_array(), whole.roster_array())

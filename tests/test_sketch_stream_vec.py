@@ -9,9 +9,10 @@ tests — emitted windows and stats are the same at chunk size 1
 (``ingest(entry)``) as at any other split, including chunks that
 straddle window boundaries and reorder-slack replays.  Also pins the
 satellites that ride along: the gate-cache fix (a DUPLICATE verdict no
-longer invalidates the cached gate), the ``HllBank`` batched
-subset-estimate / snapshot helpers the resolver is built on, and the
-resolver's wholesale-vs-replayed accounting.
+longer invalidates the cached gate), the ``HllBank`` slot ops the
+resolver is built on (``resolve_slots`` / ``estimate_slots`` /
+``rows_at`` / ``write_rows_at``), and the resolver's wholesale-vs-replayed
+accounting.
 """
 
 from __future__ import annotations
@@ -41,8 +42,6 @@ def make_entries(rows):
 
 def params_for(promote: int, precision: int = 6, dedup: float = 30.0) -> SketchParams:
     return SketchParams(
-        width=64,
-        depth=2,
         hll_precision=precision,
         capacity=4096,
         gate_queriers=max(promote, 4),
@@ -223,55 +222,65 @@ class TestHllBankSubsetOps:
         )
         return bank
 
-    def test_estimate_many_matches_estimate(self):
+    def test_estimate_slots_matches_estimate(self):
         bank = self._populated_bank()
         keys = np.array([0, 7, 39, 1000, 13, -5], dtype=np.int64)  # incl. unseen
-        got = bank.estimate_many(keys)
+        slots = bank.resolve_slots(keys)
+        seen = slots >= 0
+        assert seen.tolist() == [True, True, True, False, True, False]
+        got = np.zeros(keys.size)
+        got[seen] = bank.estimate_slots(slots[seen])
         want = np.array([bank.estimate(int(k)) for k in keys])
         assert np.array_equal(got, want)
 
-    def test_estimate_many_zero_counts(self):
+    def test_estimate_slots_zero_counts(self):
         bank = self._populated_bank()
-        keys = np.array([3, 999_999], dtype=np.int64)
-        estimates, zeros = bank.estimate_many(keys, with_zeros=True)
+        slots = bank.resolve_slots(np.array([3, 999_999], dtype=np.int64))
+        estimates, zeros = bank.estimate_slots(slots[:1], with_zeros=True)
         assert estimates[0] == bank.estimate(3)
         assert zeros[0] == int((bank.extract(3).registers == 0).sum())
-        # Unseen key: estimate 0, all m registers zero.
-        assert estimates[1] == 0.0 and zeros[1] == bank.extract(999_999).m
+        # Unseen key: no slot, estimate 0, all m registers zero.
+        assert slots[1] == -1
+        unseen = bank.extract(999_999)
+        assert bank.estimate(999_999) == 0.0
+        assert int((unseen.registers == 0).sum()) == unseen.m
 
-    def test_estimate_many_spans_row_chunks(self):
+    def test_estimate_slots_spans_row_chunks(self):
         bank = HllBank(precision=4, seed=1)
         n = HllBank._CHUNK_ROWS + 123
         keys = np.arange(n, dtype=np.int64)
         bank.add_batch(keys, keys * 31 + 7)
-        got = bank.estimate_many(keys)
+        got = bank.estimate_slots(bank.resolve_slots(keys))
         _, want = bank.estimate_all()
         assert np.array_equal(got, want)
 
-    def test_snapshot_restore_roundtrip(self):
+    def test_rows_at_write_rows_at_roundtrip(self):
         bank = self._populated_bank()
         keys = np.array([2, 11, 29], dtype=np.int64)
-        snapshot = bank.snapshot_rows(keys)
+        slots = bank.resolve_slots(keys)
+        snapshot = bank.rows_at(slots)
         untouched = bank.extract(5)
         bank.add_batch(
             np.repeat(keys, 50), np.arange(150, dtype=np.int64) + 10_000
         )
-        bank.restore_rows(keys, snapshot)
+        bank.write_rows_at(slots, snapshot)
         for i, key in enumerate(keys):
             assert np.array_equal(bank.extract(int(key)).registers, snapshot[i])
         assert bank.extract(5) == untouched
 
-    def test_snapshot_is_a_copy_not_a_view(self):
+    def test_rows_at_is_a_copy_not_a_view(self):
         bank = self._populated_bank()
         keys = np.array([1, 2], dtype=np.int64)
-        snapshot = bank.snapshot_rows(keys)
+        snapshot = bank.rows_at(bank.resolve_slots(keys))
         frozen = snapshot.copy()
         bank.add_batch(np.repeat(keys, 40), np.arange(80, dtype=np.int64) + 90_000)
         assert np.array_equal(snapshot, frozen)
 
-    def test_ensure_keys_pins_insertion_order(self):
+    def test_create_order_pins_insertion_order(self):
         bank = HllBank(precision=4, seed=0)
-        bank.ensure_keys(np.array([5, 3, 9], dtype=np.int64))
+        bank.resolve_slots(
+            np.array([5, 3, 9], dtype=np.int64), create_order=np.arange(3)
+        )
         bank.add_batch(
             np.array([9, 3], dtype=np.int64), np.array([1, 2], dtype=np.int64)
         )
