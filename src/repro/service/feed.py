@@ -8,8 +8,8 @@ straight into the engine.  Both wire formats the offline readers
 understand are supported, plus auto-sniffing on the ``RBSC`` magic:
 
 * **text** — ``timestamp querier-ip reverse-qname`` lines, ``#``
-  comments and blank lines ignored (the :mod:`repro.datasets.io`
-  format);
+  comments and blank lines ignored, decoded a whole read at a time by
+  :func:`repro.datasets.io.decode_text_lines` (the one text grammar);
 * **rbsc** — the framed binary format of :mod:`repro.datasets.dnstap`:
   6-byte header, then fixed 18-byte length-prefixed frames, decoded
   with one ``np.frombuffer`` per chunk.
@@ -22,10 +22,10 @@ import struct
 import numpy as np
 
 from repro.datasets.dnstap import MAGIC, VERSION
-from repro.logstore import ENTRY_DTYPE, EntryBlock
-from repro.netmodel.addressing import reverse_name_to_ip, str_to_ip
+from repro.datasets.io import decode_text_lines
+from repro.logstore import EntryBlock
 
-__all__ = ["FeedReader"]
+__all__ = ["FeedError", "FeedReader"]
 
 _HEADER = struct.Struct(">4sH")
 _RECORD_SIZE = 18  # 2-byte length prefix + 16-byte (>dII) body
@@ -35,16 +35,31 @@ _RECORD_DTYPE = np.dtype(
 )
 
 
+class FeedError(ValueError):
+    """An ``.rbsc`` feed lost its framing; the reader is closed.
+
+    ``reason`` is ``"frame"`` (bad header or frame length) or
+    ``"truncated"`` (a partial frame at ``close()``); ``block`` holds the
+    frames of the failing read that decoded before the bad one.
+    """
+
+    def __init__(self, message: str, reason: str, block: EntryBlock) -> None:
+        super().__init__(message)
+        self.reason = reason
+        self.block = block
+
+
 class FeedReader:
     """Stateful chunk decoder for one feed connection.
 
     ``feed(data)`` consumes a chunk and returns the entries completed by
     it (possibly empty); ``close()`` flushes the final unterminated text
-    line and raises on a truncated binary frame.  A text line that does
-    not parse is skipped and counted in ``bad_lines``; a bad ``.rbsc``
-    header or frame raises, since framing is lost.  A reader constructed
-    with ``format="auto"`` resolves to ``rbsc`` iff the stream opens
-    with the ``RBSC`` magic (decided once at least 4 bytes arrive).
+    line.  A text line that does not parse is skipped and counted in
+    ``bad_lines``.  A bad ``.rbsc`` header or frame, or a partial frame
+    at ``close()``, raises :class:`FeedError` and closes the reader,
+    since framing is lost.  A reader constructed with ``format="auto"``
+    resolves to ``rbsc`` iff the stream opens with the ``RBSC`` magic
+    (decided once at least 4 bytes arrive).
     """
 
     def __init__(self, format: str = "auto") -> None:
@@ -65,7 +80,7 @@ class FeedReader:
     def feed(self, data: bytes) -> EntryBlock:
         """Consume one chunk; returns the entries it completed."""
         if self._closed:
-            raise ValueError("feed() after close()")
+            raise ValueError("feed() on a closed reader")
         self._buffer.extend(data)
         if self._format == "auto":
             if len(self._buffer) < len(MAGIC):
@@ -78,14 +93,16 @@ class FeedReader:
         return self._decode_text(final=False)
 
     def close(self) -> EntryBlock:
-        """Flush the tail; raises ``ValueError`` on binary truncation."""
+        """Flush the tail; raises :class:`FeedError` on binary truncation."""
         if self._closed:
             return EntryBlock.empty()
         self._closed = True
         if self._format == "rbsc":
             if self._buffer:
-                raise ValueError(
-                    f"feed truncated: {len(self._buffer)} bytes of partial frame"
+                raise FeedError(
+                    f"feed truncated: {len(self._buffer)} bytes of partial frame",
+                    "truncated",
+                    EntryBlock.empty(),
                 )
             return EntryBlock.empty()
         # Auto that never saw 4 bytes is a (possibly empty) text tail.
@@ -99,27 +116,19 @@ class FeedReader:
         cut = len(raw) if final else raw.rfind(b"\n") + 1
         if cut <= 0:
             return EntryBlock.empty()
-        complete = bytes(raw[:cut])
+        block, errors = decode_text_lines(bytes(raw[:cut]))
         del raw[:cut]
-        rows: list[tuple[float, int, int]] = []
-        for line in complete.decode("ascii", errors="replace").splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                timestamp, querier, qname = line.split()
-                rows.append(
-                    (float(timestamp), str_to_ip(querier), reverse_name_to_ip(qname))
-                )
-            except ValueError:
-                # One bad line must not cost the good lines around it.
-                self.bad_lines += 1
-        if not rows:
-            return EntryBlock.empty()
-        self.entries_decoded += len(rows)
-        return EntryBlock(np.array(rows, dtype=ENTRY_DTYPE))
+        # One bad line must not cost the good lines around it.
+        self.bad_lines += len(errors)
+        self.entries_decoded += len(block)
+        return block
 
     # -- rbsc -----------------------------------------------------------
+
+    def _lost_framing(self, message: str, block: EntryBlock) -> FeedError:
+        self._closed = True
+        self._buffer.clear()
+        return FeedError(message, "frame", block)
 
     def _decode_rbsc(self) -> EntryBlock:
         if not self._header_seen:
@@ -127,10 +136,13 @@ class FeedReader:
                 return EntryBlock.empty()
             magic, version = _HEADER.unpack_from(self._buffer)
             if magic != MAGIC:
-                raise ValueError(f"feed: bad magic {magic!r} (expected {MAGIC!r})")
+                raise self._lost_framing(
+                    f"feed: bad magic {magic!r} (expected {MAGIC!r})", EntryBlock.empty()
+                )
             if version != VERSION:
-                raise ValueError(
-                    f"feed: unsupported version {version} (expected {VERSION})"
+                raise self._lost_framing(
+                    f"feed: unsupported version {version} (expected {VERSION})",
+                    EntryBlock.empty(),
                 )
             del self._buffer[: _HEADER.size]
             self._header_seen = True
@@ -141,14 +153,17 @@ class FeedReader:
         del self._buffer[: n * _RECORD_SIZE]
         records = np.frombuffer(complete, dtype=_RECORD_DTYPE, count=n)
         bad = np.flatnonzero(records["length"] != _FRAME_SIZE)
-        if bad.size:
-            raise ValueError(
-                f"feed: invalid frame length {int(records['length'][bad[0]])} "
-                f"(expected {_FRAME_SIZE})"
-            )
-        self.entries_decoded += n
-        return EntryBlock.from_arrays(
-            records["timestamp"].astype(np.float64),
-            records["querier"].astype(np.int64),
-            records["originator"].astype(np.int64),
+        good = records[: bad[0]] if bad.size else records
+        self.entries_decoded += len(good)
+        block = EntryBlock.from_arrays(
+            good["timestamp"].astype(np.float64),
+            good["querier"].astype(np.int64),
+            good["originator"].astype(np.int64),
         )
+        if bad.size:
+            raise self._lost_framing(
+                f"feed: invalid frame length {int(records['length'][bad[0]])} "
+                f"(expected {_FRAME_SIZE})",
+                block,
+            )
+        return block

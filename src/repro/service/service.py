@@ -46,7 +46,7 @@ from repro.netmodel.addressing import ip_to_str
 from repro.sensor.engine import SECONDS_PER_DAY, SensedWindow, SensorEngine
 from repro.sensor.training import Strategy
 from repro.service.config import ServiceConfig
-from repro.service.feed import FeedReader
+from repro.service.feed import FeedError, FeedReader
 from repro.service.http import HttpServer, json_response
 from repro.service.manager import ModelManager
 from repro.telemetry import MetricsRegistry, count, set_gauge, use_registry
@@ -113,6 +113,7 @@ class BackscatterService:
         self.alerts_total = 0
         self.queued_events = 0
         self.feed_bad_lines = 0
+        self.feed_errors = 0
         self.step_errors = 0
         self.last_step_error: str | None = None
         self.swap_outcomes: TallyCounter[str] = TallyCounter()
@@ -255,6 +256,10 @@ class BackscatterService:
                 await self._tail_task
             except asyncio.CancelledError:
                 pass
+            except Exception:
+                # A tail that died (say, the file vanished) must not
+                # skip the drain, the final flush and the unbinding.
+                _LOG.exception("feed tail failed")
             self._tail_task = None
         await self.drain()
         if self._pump_task is not None:
@@ -415,13 +420,13 @@ class BackscatterService:
         self._count("repro_service_feed_connections_total", 1,
                     help="Feed socket connections accepted.")
         decoder = FeedReader(self.config.feed_format)
+        source = f"feed connection {writer.get_extra_info('peername')}"
         try:
-            while True:
-                data = await reader.read(self.config.feed_chunk)
-                if not data:
+            while data := await reader.read(self.config.feed_chunk):
+                if not self._accept(decoder, data, source):
                     break
-                self._accept(decoder, data)
-            self._accept(decoder, None)
+            else:  # end of stream: flush the decoder's tail
+                self._accept(decoder, None, source)
         finally:
             try:
                 writer.close()
@@ -431,18 +436,27 @@ class BackscatterService:
 
     async def _tail(self) -> None:
         decoder = FeedReader(self.config.feed_format)
+        source = f"feed file {self.config.feed_path}"
         with open(self.config.feed_path, "rb") as handle:
             while True:
                 data = handle.read(self.config.feed_chunk)
                 if not data:
                     await asyncio.sleep(self.config.feed_poll_seconds)
-                    continue
-                self._accept(decoder, data)
+                elif not self._accept(decoder, data, source):
+                    return
 
-    def _accept(self, decoder: FeedReader, data: bytes | None) -> None:
-        """Decode one read (``None`` = end of stream), queue it, count skips."""
+    def _accept(self, decoder: FeedReader, data: bytes | None, source: str) -> bool:
+        """Decode one read (``None`` = end of stream), queue it, count skips.
+
+        Returns False once the feed's framing is lost: what decoded before
+        the bad frame is still queued, and the caller ends that feed.
+        """
         bad_before = decoder.bad_lines
-        block = decoder.close() if data is None else decoder.feed(data)
+        try:
+            block = decoder.close() if data is None else decoder.feed(data)
+            lost = None
+        except FeedError as error:
+            block, lost = error.block, error
         skipped = decoder.bad_lines - bad_before
         if skipped:
             self.feed_bad_lines += skipped
@@ -450,6 +464,13 @@ class BackscatterService:
                         help="Feed text lines skipped because they did not parse.")
         if len(block):
             self.submit_block(block)
+        if lost is not None:
+            self.feed_errors += 1
+            self._count("repro_service_feed_errors_total", 1,
+                        help="Feeds ended because their framing was lost.",
+                        reason=lost.reason)
+            _LOG.warning("%s ended: %s", source, lost)
+        return lost is None
 
     # -- observability --------------------------------------------------
 
@@ -492,6 +513,7 @@ class BackscatterService:
             "swaps": dict(self.swap_outcomes),
             "feed_lag_seconds": lag,
             "feed_bad_lines": self.feed_bad_lines,
+            "feed_errors": self.feed_errors,
             "shards": self.config.shards,
         }
 
