@@ -221,11 +221,15 @@ def _train_on_span(
     from repro.federation import sensor_for
     from repro.sensor import LabeledSet
 
-    entries = _load_log(args.log)
+    try:
+        entries = _load_log(args.log)
+        directory = read_directory(args.directory)
+    except ValueError as error:  # a malformed log or directory: ``path:lineno: …``
+        print(error, file=sys.stderr)
+        return None
     if not entries:
         print("log is empty", file=sys.stderr)
         return None
-    directory = read_directory(args.directory)
     start = entries[0].timestamp if start is None else start
     end = entries[-1].timestamp + 1.0 if end is None else end
     raw_labels = json.loads(Path(args.labels).read_text())

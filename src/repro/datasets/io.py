@@ -17,9 +17,10 @@ twin (exact timestamps, half the size) lives in
 
 Querier directories are JSON lines of
 :class:`~repro.sensor.directory.QuerierInfo` rows; ``read_directory``
-returns a :class:`~repro.sensor.directory.StaticDirectory`, whose lookup
-of an unlisted address answers NXDOMAIN — the right default for
-addresses the collection never enriched.
+validates every row and returns a
+:class:`~repro.sensor.directory.FrozenDirectory` — columns enriched once,
+at load — whose lookup of an unlisted address answers NXDOMAIN, the
+right default for addresses the collection never enriched.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from repro.dnssim.message import QueryLogEntry
 from repro.logstore import ENTRY_DTYPE, EntryBlock
 from repro.netmodel.addressing import ip_to_reverse_name, ip_to_str, reverse_name_to_ip, str_to_ip
 from repro.netmodel.world import NameStatus
-from repro.sensor.directory import QuerierInfo, StaticDirectory
+from repro.sensor.directory import FrozenDirectory, QuerierInfo
 
 __all__ = [
     "write_log",
@@ -266,24 +267,61 @@ def write_directory(path: str | Path, infos: Iterable[QuerierInfo]) -> int:
     return count
 
 
-def read_directory(path: str | Path) -> StaticDirectory:
-    """Load a JSONL querier directory into a :class:`StaticDirectory`."""
-    directory = StaticDirectory()
-    with open(path, "r", encoding="ascii") as handle:
+def read_directory(path: str | Path) -> FrozenDirectory:
+    """Load a JSONL querier directory into a :class:`FrozenDirectory`.
+
+    Every row must be an object with ``addr`` an int in [0, 2**32),
+    ``name`` and ``country`` strings or null, ``status`` a
+    :class:`NameStatus` name, and ``asn`` an int >= 0 or null.  Raises
+    ``ValueError`` (``path:lineno: invalid directory row: …``) on the
+    first row that is not, non-ASCII bytes included.  Blank lines are
+    skipped, and a repeated address keeps its last row.
+    """
+    rows = []
+    # Non-ASCII bytes decode to U+FFFD, which _directory_row refuses.
+    with open(path, encoding="ascii", errors="replace") as handle:
         for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
+            text = line.strip()
+            if not text:
                 continue
             try:
-                row = json.loads(line)
-                info = QuerierInfo(
-                    addr=int(row["addr"]),
-                    name=row["name"],
-                    status=NameStatus[row["status"]],
-                    asn=row["asn"],
-                    country=row["country"],
-                )
-            except (json.JSONDecodeError, KeyError, TypeError) as error:
-                raise ValueError(f"{path}:{lineno}: invalid directory row: {error}") from error
-            directory.add(info)
-    return directory
+                rows.append(_directory_row(text))
+            except ValueError as error:
+                raise ValueError(f"{path}:{lineno}: invalid directory row: {error}") from None
+    return FrozenDirectory(*(zip(*rows) if rows else [()] * len(_DIRECTORY_FIELDS)))
+
+
+_DIRECTORY_FIELDS = ("addr", "name", "status", "asn", "country")
+_NAME_STATUS = dict(NameStatus.__members__)
+_decode_json = json.JSONDecoder().raw_decode
+
+
+def _directory_row(text: str) -> tuple[int, str | None, NameStatus, int | None, str | None]:
+    """One stripped directory line as ``(addr, name, status, asn, country)``.
+
+    Raises ``ValueError`` saying what is wrong with it.
+    """
+    if "\ufffd" in text:
+        raise ValueError("non-ASCII bytes")
+    row, end = _decode_json(text)  # JSONDecodeError is a ValueError
+    if end != len(text):
+        raise ValueError(f"extra data after the row at column {end + 1}")
+    if type(row) is not dict:
+        raise ValueError(f"expected an object, got {text!r}")
+    try:
+        addr, name, asn, country = row["addr"], row["name"], row["asn"], row["country"]
+        status = row["status"]
+    except KeyError:
+        missing = [field for field in _DIRECTORY_FIELDS if field not in row]
+        raise ValueError(f"missing {', '.join(missing)}") from None
+    # ``type(...) is int`` also refuses bools, which are ints to Python.
+    if type(addr) is not int or not 0 <= addr < 1 << 32:
+        raise ValueError(f"addr {addr!r} is not an IPv4 address as an int")
+    if asn is not None and (type(asn) is not int or asn < 0):
+        raise ValueError(f"asn {asn!r} is neither an int >= 0 nor null")
+    for field, value in (("name", name), ("country", country)):
+        if value is not None and type(value) is not str:
+            raise ValueError(f"{field} {value!r} is neither a string nor null")
+    if type(status) is not str or status not in _NAME_STATUS:
+        raise ValueError(f"status {status!r} is not one of {', '.join(_NAME_STATUS)}")
+    return addr, name, _NAME_STATUS[status], asn, country

@@ -20,6 +20,7 @@ from repro.sensor.curation import (
 )
 from repro.sensor.directory import (
     EnrichmentCache,
+    FrozenDirectory,
     QuerierDirectory,
     QuerierInfo,
     ResolvedQuerier,
@@ -90,6 +91,7 @@ __all__ = [
     "LabeledExample",
     "LabeledSet",
     "EnrichmentCache",
+    "FrozenDirectory",
     "QuerierDirectory",
     "QuerierInfo",
     "ResolvedQuerier",

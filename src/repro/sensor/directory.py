@@ -18,7 +18,7 @@ from typing import Protocol
 import numpy as np
 
 from repro.netmodel.world import NameStatus, World
-from repro.sensor.keywords import STATIC_CATEGORIES, classify_querier
+from repro.sensor.keywords import STATIC_CATEGORIES, classify_name, classify_querier
 from repro.telemetry import count as _tcount
 
 __all__ = [
@@ -26,6 +26,7 @@ __all__ = [
     "QuerierDirectory",
     "WorldDirectory",
     "StaticDirectory",
+    "FrozenDirectory",
     "ResolvedQuerier",
     "EnrichmentCache",
 ]
@@ -117,7 +118,10 @@ class EnrichmentCache:
     Scope one instance to one observation window: the cache never
     invalidates, so mutations of the underlying directory (a querier's
     name, AS or country) are only picked up by the *next* window's
-    cache, matching the paper's snapshot-per-interval semantics.  It
+    cache, matching the paper's snapshot-per-interval semantics.  A
+    :class:`FrozenDirectory` cannot change, so a cache over one starts
+    from the columns it was enriched into when built and goes to the
+    directory only for addresses it does not list.  The cache
     implements the :class:`QuerierDirectory` protocol, so it can be
     passed anywhere a directory is expected.
     """
@@ -134,14 +138,17 @@ class EnrichmentCache:
         self.hits = 0
         self.misses = 0
         self.built = 0
-        # Consolidated column store, sorted by address.
-        self._addrs = np.empty(0, dtype=np.int64)
-        self._categories = np.empty(0, dtype=np.int64)
-        self._asns = np.empty(0, dtype=np.int64)
-        self._ccs = np.empty(0, dtype=np.int64)
-        # Country-code interning (code → name is ``_countries[code]``).
-        self._country_codes: dict[str, int] = {}
-        self._countries: list[str] = []
+        # Consolidated column store, sorted by address, and country-code
+        # interning (code → name is ``_countries[code]``).  Merges replace
+        # the arrays, never write them, so a frozen directory's are shared.
+        if isinstance(directory, FrozenDirectory):
+            self._addrs, self._categories, self._asns, self._ccs = directory.columns
+            self._countries = list(directory.countries)
+        else:
+            empty = np.empty(0, dtype=np.int64)
+            self._addrs, self._categories, self._asns, self._ccs = (empty,) * 4
+            self._countries = []
+        self._country_codes = {c: code for code, c in enumerate(self._countries)}
         # Scalar-resolved entries awaiting consolidation, and the memo of
         # constructed ResolvedQuerier objects (batch enrichment skips both).
         self._pending: dict[int, tuple[int, int, int]] = {}
@@ -329,8 +336,15 @@ class EnrichmentCache:
         return self._categories[pos], self._asns[pos], self._ccs[pos]
 
 
+def _unlisted(addr: int) -> QuerierInfo:
+    """What an in-memory directory answers for an address it does not list."""
+    return QuerierInfo(
+        addr=addr, name=None, status=NameStatus.NXDOMAIN, asn=None, country=None
+    )
+
+
 class StaticDirectory:
-    """In-memory directory for tests and serialized datasets."""
+    """In-memory directory for tests and datasets built in code."""
 
     def __init__(self, infos: dict[int, QuerierInfo] | None = None) -> None:
         self._infos = dict(infos or {})
@@ -340,8 +354,91 @@ class StaticDirectory:
 
     def lookup(self, addr: int) -> QuerierInfo:
         info = self._infos.get(addr)
-        if info is None:
-            return QuerierInfo(
-                addr=addr, name=None, status=NameStatus.NXDOMAIN, asn=None, country=None
-            )
-        return info
+        return _unlisted(addr) if info is None else info
+
+
+_STATUSES = tuple(NameStatus)
+_STATUS_CODE = {status: code for code, status in enumerate(_STATUSES)}
+
+
+class FrozenDirectory:
+    """A directory that never changes, enriched once when it is built.
+
+    What :func:`repro.datasets.read_directory` returns.  The rows are
+    held as columns sorted by address — name, status, ASN, country — and
+    each querier's static category is classified once, here.  Because
+    nothing can change the rows, this snapshot serves every window: an
+    :class:`EnrichmentCache` over it starts from :attr:`columns`, so a
+    window close reads any listed querier with one searchsorted and
+    three gathers.  An unlisted address answers NXDOMAIN, as in
+    :class:`StaticDirectory`.
+
+    The arguments are aligned columns, one entry per row; when an
+    address repeats, its last row wins.  Callers validate the values.
+    """
+
+    def __init__(
+        self,
+        addrs: Sequence[int],
+        names: Sequence[str | None],
+        statuses: Sequence[NameStatus],
+        asns: Sequence[int | None],
+        countries: Sequence[str | None],
+    ) -> None:
+        every = np.asarray(addrs, dtype=np.int64)
+        # np.unique keeps the first of equal addresses, so run it over the
+        # rows reversed: the survivor is each address's last row.
+        addr_column, last = np.unique(every[::-1], return_index=True)
+        keep = (len(every) - 1 - last).tolist()
+        self._names = [names[i] for i in keep]
+        statuses = [statuses[i] for i in keep]
+        country_codes: dict[str, int] = {}
+        ccs = [
+            -1 if countries[i] is None
+            else country_codes.setdefault(countries[i], len(country_codes))
+            for i in keep
+        ]
+        self._countries = tuple(country_codes)
+        self._statuses = np.array([_STATUS_CODE[s] for s in statuses], dtype=np.int8)
+        rule = classify_name.__wrapped__  # each name once: no memo needed
+        categories = [
+            _CATEGORY_INDEX[classify_querier(name, status, rule)]
+            for name, status in zip(self._names, statuses)
+        ]
+        asns = [-1 if asns[i] is None else asns[i] for i in keep]
+        self._columns = (addr_column,) + tuple(
+            np.array(column, dtype=np.int64) for column in (categories, asns, ccs)
+        )
+        for column in self._columns:
+            column.flags.writeable = False
+
+    @property
+    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only ``(addresses, category indices, ASNs, country codes)``.
+
+        Sorted by address; ``-1`` encodes an unknown ASN or country, and
+        country code ``c`` names ``countries[c]``.
+        """
+        return self._columns
+
+    @property
+    def countries(self) -> tuple[str, ...]:
+        """Country names in code order."""
+        return self._countries
+
+    def __len__(self) -> int:
+        return len(self._names)
+
+    def lookup(self, addr: int) -> QuerierInfo:
+        addrs, _, asns, ccs = self._columns
+        pos = int(np.searchsorted(addrs, addr))
+        if pos == len(addrs) or int(addrs[pos]) != addr:
+            return _unlisted(addr)
+        asn, cc = int(asns[pos]), int(ccs[pos])
+        return QuerierInfo(
+            addr=int(addrs[pos]),
+            name=self._names[pos],
+            status=_STATUSES[self._statuses[pos]],
+            asn=None if asn < 0 else asn,
+            country=None if cc < 0 else self._countries[cc],
+        )

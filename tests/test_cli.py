@@ -408,6 +408,41 @@ class TestShardsFlag:
         assert capsys.readouterr().err.strip() == "port must be in [0, 65535], got 70000"
 
 
+class TestMalformedInputs:
+    """A bad log or directory row is one stderr line and exit 1, no traceback."""
+
+    @pytest.mark.parametrize("command", ["classify", "serve"])
+    @pytest.mark.parametrize("bad", ["log", "directory"])
+    def test_exits_1_in_one_line(self, generated, tmp_path, capsys, command, bad):
+        log = generated / "B-post-ditl.log"
+        directory = generated / "B-post-ditl.queriers.jsonl"
+        if bad == "log":
+            lines = log.read_text().splitlines(keepends=True)
+            log = tmp_path / "bad.log"
+            log.write_text("".join(lines[:3]) + "1.0 1.2.3.4\n" + "".join(lines[3:]))
+            where = f"{log}:4: "
+        else:
+            lines = directory.read_text().splitlines(keepends=True)
+            row = json.loads(lines[1])
+            row["asn"] = "12x"
+            directory = tmp_path / "bad.jsonl"
+            directory.write_text(lines[0] + json.dumps(row) + "\n" + "".join(lines[2:]))
+            where = f"{directory}:2: invalid directory row: asn '12x'"
+        argv = [
+            command,
+            "-l", str(log),
+            "-d", str(directory),
+            "-t", str(generated / "B-post-ditl.labels.json"),
+            *(("--port", "0", "--once") if command == "serve" else ()),
+        ]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith(where), lines
+
+
 class TestOneWayToGoParallel:
     """Shards are the parallelism and ``SensorConfig`` is the config:
     no second process pool, no work-shaping environment, no ``--workers``."""

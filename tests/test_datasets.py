@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-import numpy as np
+import re
+
 import pytest
 
 from repro.datasets import (
@@ -146,6 +147,102 @@ class TestIo:
         path = tmp_path / "dir.jsonl"
         path.write_text("{not json\n")
         with pytest.raises(ValueError):
+            read_directory(path)
+
+    def test_directory_repeated_address_keeps_last_row(self, tmp_path):
+        infos = [
+            QuerierInfo(addr=7, name="mail.x.com", status=NameStatus.OK, asn=5, country="us"),
+            QuerierInfo(addr=3, name=None, status=NameStatus.UNREACH, asn=None, country="jp"),
+            QuerierInfo(addr=7, name="ns.x.com", status=NameStatus.OK, asn=6, country=None),
+        ]
+        path = tmp_path / "dir.jsonl"
+        write_directory(path, infos)
+        directory = read_directory(path)
+        assert len(directory) == 2
+        assert directory.lookup(7) == infos[2]
+        assert directory.lookup(3) == infos[1]
+
+    @pytest.mark.parametrize(
+        ("row", "complaint"),
+        [
+            ('{"addr":1,"name":null,"status":"OK","asn":"12x","country":null}', "asn '12x'"),
+            ('{"addr":1,"name":null,"status":"OK","asn":1.7,"country":null}', "asn 1.7"),
+            ('{"addr":1,"name":null,"status":"OK","asn":true,"country":null}', "asn True"),
+            ('{"addr":1,"name":null,"status":"OK","asn":-1,"country":null}', "asn -1"),
+            ('{"addr":"abc","name":null,"status":"OK","asn":null,"country":null}', "addr 'abc'"),
+            ('{"addr":true,"name":null,"status":"OK","asn":null,"country":null}', "addr True"),
+            ('{"addr":1.0,"name":null,"status":"OK","asn":null,"country":null}', "addr 1.0"),
+            ('{"addr":4294967296,"name":null,"status":"OK","asn":null,"country":null}', "addr 4294967296"),
+            ('{"addr":-1,"name":null,"status":"OK","asn":null,"country":null}', "addr -1"),
+            ('{"addr":1,"name":5,"status":"OK","asn":null,"country":null}', "name 5"),
+            ('{"addr":1,"name":null,"status":"OK","asn":null,"country":["jp"]}', "country ['jp']"),
+            ('{"addr":1,"name":null,"status":"ok","asn":null,"country":null}', "status 'ok'"),
+            ('{"addr":1,"name":null,"status":null,"asn":null,"country":null}', "status None"),
+            ('{"addr":1,"name":null,"asn":null,"country":null}', "missing status"),
+            ('[1, 2]', "expected an object"),
+            ('{"addr":1,"name":"m\u00e9l","status":"OK","asn":null,"country":null} \u00e9', "non-ASCII"),
+        ],
+    )
+    def test_directory_rejects_invalid_row_with_path_and_line(self, tmp_path, row, complaint):
+        good = '{"addr":2,"name":"mail.x.com","status":"OK","asn":3,"country":"us"}'
+        path = tmp_path / "dir.jsonl"
+        path.write_text(f"{good}\n\n{row}\n{good}\n", encoding="utf-8")
+        with pytest.raises(ValueError) as raised:
+            read_directory(path)
+        message = str(raised.value)
+        assert message.startswith(f"{path}:3: invalid directory row: ")
+        assert complaint in message
+
+    def test_directory_escaped_non_ascii_name_loads(self, tmp_path):
+        info = QuerierInfo(addr=9, name="m\u00e9l.x.com", status=NameStatus.OK, asn=0, country=None)
+        path = tmp_path / "dir.jsonl"
+        write_directory(path, [info])
+        assert read_directory(path).lookup(9) == info
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # Extra fields are ignored, nested or not.
+            '{"addr":1,"name":null,"status":"OK","asn":null,"country":null,"x":[{}]}\n'
+            '{"addr":2,"name":"mx.a.com","status":"OK","asn":4,"country":"de","y":1}\n',
+            # CRLF lines, padding, and a blank line of spaces.
+            '  {"addr":1,"name":null,"status":"UNREACH","asn":null,"country":null}\r\n'
+            '   \r\n{"addr": 2, "name": "mx.a.com", "status": "OK", "asn": 4, "country": "de"}\r\n',
+        ],
+    )
+    def test_directory_any_layout_reads_as_line_by_line(self, tmp_path, text):
+        path = tmp_path / "dir.jsonl"
+        path.write_bytes(text.encode())
+        directory = read_directory(path)
+        assert len(directory) == 2
+        assert directory.lookup(2) == QuerierInfo(
+            addr=2, name="mx.a.com", status=NameStatus.OK, asn=4, country="de"
+        )
+
+    @pytest.mark.parametrize(
+        ("lines", "bad_line"),
+        [
+            # Two rows on one line.
+            (['{"addr":1,"name":null,"status":"OK","asn":null,"country":null},'
+              '{"addr":2,"name":null,"status":"OK","asn":null,"country":null}'], 1),
+            # One row split over two lines, each ``{…}``-shaped.
+            (['{"addr":3,"name":null,"status":"OK","asn":null,"country":null,"x":[{}',
+              '{}]}'], 1),
+            # Both at once: the split row's second half repeats ``name`` and
+            # the shared line holds two rows, so the three lines hold three
+            # rows between them, yet the first line alone is no row.
+            (['{"name":[{}',
+              '{}],"name":null,"addr":1,"status":"OK","asn":null,"country":null}',
+              '{"addr":2,"name":null,"status":"OK","asn":null,"country":null},'
+              '{"addr":3,"name":null,"status":"OK","asn":null,"country":null}'], 1),
+            (['{"addr":3,"name":null,"status":"OK","asn":null,"country":null}',
+              '{"addr":4,"name":null,"status":"OK","asn":null,"country":null} 5'], 2),
+        ],
+    )
+    def test_directory_rows_never_span_or_share_lines(self, tmp_path, lines, bad_line):
+        path = tmp_path / "dir.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{bad_line}: "):
             read_directory(path)
 
     def test_full_dataset_roundtrip(self, tmp_path):

@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 from repro.dnssim.message import QueryLogEntry
 from repro.netmodel.world import NameStatus
 from repro.sensor.collection import ObservationWindow, OriginatorObservation
-from repro.sensor.directory import EnrichmentCache, QuerierInfo, StaticDirectory
+from repro.datasets import read_directory, write_directory
+from repro.sensor.directory import (
+    EnrichmentCache,
+    FrozenDirectory,
+    QuerierInfo,
+    StaticDirectory,
+)
 from repro.sensor.dynamic import (
     DYNAMIC_FEATURE_NAMES,
     WindowContext,
@@ -353,43 +359,51 @@ class TestParallelFeaturize:
         np.testing.assert_array_equal(before.matrix, after.matrix)
 
 
+_MEMO_NAMES = (
+    "mail{}.a.com", "ns{}.b.net", "www{}.c.org", "fw{}.d.jp",
+    "x{}.cloudapp.net", "plain{}.example", None,
+)
+
+
+def named_window(sketch: bool):
+    """A directory of 400 named queriers and one hour of their traffic:
+    ``(directory, window, selected)``."""
+    rng = np.random.default_rng(3)
+    queriers = range(1000, 1400)
+    patterns = [_MEMO_NAMES[q % len(_MEMO_NAMES)] for q in queriers]
+    directory = make_directory(
+        {
+            q: (pattern and pattern.format(q), 1 + q % 7, ("jp", "us", "de")[q % 3])
+            for q, pattern in zip(queriers, patterns)
+        }
+    )
+    entries = [
+        QueryLogEntry(timestamp=float(t), querier=int(q), originator=int(o))
+        for t, q, o in sorted(
+            zip(
+                rng.uniform(0.0, 3600.0, size=4000),
+                rng.choice(queriers, size=4000),
+                rng.integers(1, 60, size=4000),
+            )
+        )
+    ]
+    config = SensorConfig(
+        window_seconds=3600.0, min_queriers=20, sketch_enabled=sketch,
+        sketch_capacity=len(entries),
+    )
+    window = SensorEngine(directory, config).windows(entries, 0.0, 3600.0)[0]
+    assert (window.prestage is not None) == sketch
+    selected = analyzable(window, config.min_queriers)
+    assert selected
+    return directory, window, selected
+
+
 class TestKeywordMemo:
     """The per-process ``classify_name`` memo never changes a feature row."""
 
-    NAMES = (
-        "mail{}.a.com", "ns{}.b.net", "www{}.c.org", "fw{}.d.jp",
-        "x{}.cloudapp.net", "plain{}.example", None,
-    )
-
     @pytest.mark.parametrize("sketch", [False, True], ids=["exact", "sketch"])
     def test_cold_and_warm_memo_featurize_identically(self, sketch):
-        rng = np.random.default_rng(3)
-        queriers = range(1000, 1400)
-        patterns = [self.NAMES[q % len(self.NAMES)] for q in queriers]
-        directory = make_directory(
-            {
-                q: (pattern and pattern.format(q), 1 + q % 7, ("jp", "us", "de")[q % 3])
-                for q, pattern in zip(queriers, patterns)
-            }
-        )
-        entries = [
-            QueryLogEntry(timestamp=float(t), querier=int(q), originator=int(o))
-            for t, q, o in sorted(
-                zip(
-                    rng.uniform(0.0, 3600.0, size=4000),
-                    rng.choice(queriers, size=4000),
-                    rng.integers(1, 60, size=4000),
-                )
-            )
-        ]
-        config = SensorConfig(
-            window_seconds=3600.0, min_queriers=20, sketch_enabled=sketch,
-            sketch_capacity=len(entries),
-        )
-        window = SensorEngine(directory, config).windows(entries, 0.0, 3600.0)[0]
-        assert (window.prestage is not None) == sketch
-        selected = analyzable(window, config.min_queriers)
-        assert selected
+        directory, window, selected = named_window(sketch)
         classify_name.cache_clear()
         cold = features_from_selected(window, selected, directory)
         assert classify_name.cache_info().misses > 0
@@ -398,3 +412,61 @@ class TestKeywordMemo:
         assert classify_name.cache_info().hits > hits
         assert np.array_equal(cold.matrix, warm.matrix)
         assert np.array_equal(cold.originators, warm.originators)
+
+
+def frozen_copy(directory: StaticDirectory, addrs, tmp_path) -> FrozenDirectory:
+    """*directory*'s rows for *addrs*, written and read back as a file."""
+    path = tmp_path / "queriers.jsonl"
+    write_directory(path, (directory.lookup(addr) for addr in addrs))
+    return read_directory(path)
+
+
+class TestFrozenDirectory:
+    """A directory file is enriched once, at load, and featurizes the same."""
+
+    @pytest.mark.parametrize("sketch", [False, True], ids=["exact", "sketch"])
+    def test_features_equal_a_static_directory_of_the_same_rows(self, sketch, tmp_path):
+        directory, window, selected = named_window(sketch)
+        # Leave a few queriers out of the file: they resolve as NXDOMAIN
+        # through lookup, in both directories.
+        listed = [q for q in range(1000, 1400) if q % 50]
+        frozen = frozen_copy(directory, listed, tmp_path)
+        unlisted = StaticDirectory({q: directory.lookup(q) for q in listed})
+        static = features_from_selected(window, selected, unlisted)
+        loaded = features_from_selected(window, selected, frozen)
+        assert static.matrix.tobytes() == loaded.matrix.tobytes()
+        assert np.array_equal(static.originators, loaded.originators)
+        assert static.context == loaded.context
+
+    def test_fresh_cache_makes_no_lookup_for_listed_queriers(self, tmp_path, monkeypatch):
+        directory, window, selected = named_window(False)
+        frozen = frozen_copy(directory, range(1000, 1400), tmp_path)
+        looked_up = []
+        real_lookup = FrozenDirectory.lookup
+        monkeypatch.setattr(
+            FrozenDirectory, "lookup",
+            lambda self, addr: looked_up.append(addr) or real_lookup(self, addr),
+        )
+        classify_name.cache_clear()
+        cache = EnrichmentCache(frozen)
+        context = WindowContext.from_window(window, cache)
+        features = features_from_selected(window, selected, cache, context=context)
+        assert len(features) == len(selected)
+        assert looked_up == []
+        assert cache.misses == 0 and cache.built == 0
+        assert cache.hits > 0
+        # The scalar view reads the same columns.
+        assert cache.resolve(1002).category == "ns" and looked_up == []
+        # Load-time classification leaves the per-process memo alone.
+        assert classify_name.cache_info().currsize == 0
+        # An unlisted address is the one that goes to the directory.
+        assert cache.resolve(99).category == "nxdomain" and looked_up == [99]
+
+    def test_lookup_returns_the_rows_it_was_built_from(self, tmp_path):
+        directory, _, _ = named_window(False)
+        frozen = frozen_copy(directory, range(1000, 1400), tmp_path)
+        assert len(frozen) == 400
+        for addr in range(990, 1410):
+            assert frozen.lookup(addr) == directory.lookup(addr)
+        addrs, _, _, _ = frozen.columns
+        assert not addrs.flags.writeable

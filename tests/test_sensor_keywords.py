@@ -2,10 +2,68 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.netmodel.world import NameStatus
-from repro.sensor.keywords import STATIC_CATEGORIES, classify_name, classify_querier
+from repro.sensor.keywords import (
+    CATEGORY_KEYWORDS,
+    STATIC_CATEGORIES,
+    SUFFIX_CATEGORIES,
+    classify_name,
+    classify_querier,
+)
+
+_TOKEN_SPLIT = re.compile(r"[^a-z]+")
+
+
+def paper_component_category(component: str) -> str | None:
+    """The paper's rule, literally: split into letter tokens, then the
+    first category in rule order whose keyword starts any token."""
+    tokens = [t for t in _TOKEN_SPLIT.split(component.lower()) if t]
+    for category, keywords in CATEGORY_KEYWORDS:
+        for token in tokens:
+            for keyword in keywords:
+                if token.startswith(keyword):
+                    return category
+    return None
+
+
+def paper_classify_name(name: str) -> str:
+    """Oracle for :func:`classify_name`: the token loop per component."""
+    lowered = name.lower().rstrip(".")
+    components = lowered.split(".")
+    for component in components[:-1] if len(components) > 1 else components:
+        category = paper_component_category(component)
+        if category is not None:
+            return category
+    for category, suffixes in SUFFIX_CATEGORIES:
+        for suffix in suffixes:
+            if lowered == suffix or lowered.endswith("." + suffix):
+                return category
+    return "other"
+
+
+_KEYWORDS = [keyword for _, keywords in CATEGORY_KEYWORDS for keyword in keywords]
+_SUFFIXES = [suffix for _, suffixes in SUFFIX_CATEGORIES for suffix in suffixes]
+# Upper case, digits, hyphens, and non-ASCII letters — two of which
+# (U+0130, the Kelvin sign) lower-case to ASCII letters.
+_PIECES = st.one_of(
+    st.sampled_from(_KEYWORDS),
+    st.sampled_from(_KEYWORDS).map(str.upper),
+    st.text(alphabet="abcxyzMNQ0123456789-_éßüİ\u212a", min_size=1, max_size=4),
+)
+_COMPONENTS = st.lists(_PIECES, max_size=4).map("".join)
+_NAMES = st.builds(
+    lambda parts, tld, dot: ".".join(parts + tld) + dot,
+    st.lists(_COMPONENTS, min_size=1, max_size=4),
+    st.one_of(st.just([]), _COMPONENTS.map(lambda c: [c]),
+              st.sampled_from(_SUFFIXES + ["net", "com", "NET"]).map(lambda t: [t])),
+    st.sampled_from(["", ".", ".."]),
+)
 
 
 class TestPaperExamples:
@@ -85,6 +143,29 @@ class TestCategories:
     def test_no_substring_matching_inside_tokens(self):
         # "hairpin" contains "ip" but does not start with it.
         assert classify_name("hairpin.example.com") == "other"
+
+
+class TestCompiledRules:
+    """One compiled pattern per category is the paper's token × keyword rule."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(_NAMES)
+    @example("mail")  # one component: it is matched, not skipped as a TLD
+    @example("x.net")  # a keyword only in the TLD
+    @example("hairpin-ip.x.com")  # a keyword inside a token, then at a start
+    @example("xmail9mx.a.com")  # digits end a token: mx starts one
+    @example("\u212aable.x.com")  # Kelvin sign lower-cases to "k"
+    @example("éhost.x.com")
+    @example("AKAMAI.NET.")  # a name that is a suffix, whole
+    @example("x.notamazonaws.com")  # a suffix that is not at a label boundary
+    def test_compiled_rules_equal_the_token_loop(self, name):
+        assert classify_name.__wrapped__(name) == paper_classify_name(name)
+
+    @given(_COMPONENTS)
+    def test_component_category_equals_the_token_loop(self, component):
+        from repro.sensor.keywords import _component_category
+
+        assert _component_category(component) == paper_component_category(component)
 
 
 class TestQuerierClassification:
