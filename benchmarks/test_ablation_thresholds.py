@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from repro.datasets.generate import get_dataset
 from repro.experiments.common import format_rows
-from repro.sensor.collection import collect_window
+from repro.sensor import SensorConfig, SensorEngine
 from repro.sensor.selection import analyzable
 
 
@@ -19,9 +19,8 @@ def test_ablation_dedup_window(once):
     def sweep():
         rows = []
         for window_seconds in (0.0, 30.0, 300.0):
-            window = collect_window(
-                entries, 0.0, dataset.duration_seconds, dedup_window=window_seconds
-            )
+            engine = SensorEngine(config=SensorConfig(dedup_window=window_seconds))
+            window = engine.collect(entries, 0.0, dataset.duration_seconds)
             total = sum(o.query_count for o in window.observations.values())
             queriers = sum(o.footprint for o in window.observations.values())
             rows.append((window_seconds, total, total / queriers))
@@ -42,7 +41,7 @@ def test_ablation_dedup_window(once):
 def test_ablation_analyzability_threshold(once):
     dataset = get_dataset("JP-ditl")
     entries = list(dataset.sensor.log)
-    window = collect_window(entries, 0.0, dataset.duration_seconds)
+    window = SensorEngine().collect(entries, 0.0, dataset.duration_seconds)
 
     def sweep():
         return {

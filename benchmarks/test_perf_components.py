@@ -14,7 +14,8 @@ from repro.dnssim import PtrRecordSpec, TtlCache
 from repro.dnssim.message import QueryLogEntry
 from repro.ml import ForestConfig, RandomForestClassifier
 from repro.netmodel import QuerierRole, World, WorldConfig
-from repro.sensor.collection import collect_window, dedup_entries
+from repro.sensor import SensorEngine
+from repro.sensor.collection import dedup_entries
 from repro.sensor.directory import WorldDirectory
 from repro.sensor.features import extract_features
 
@@ -81,7 +82,7 @@ def test_perf_feature_extraction(benchmark, perf_world):
                 )
             )
     entries.sort(key=lambda e: e.timestamp)
-    window = collect_window(entries, 0.0, 86400.0)
+    window = SensorEngine().collect(entries, 0.0, 86400.0)
     benchmark(extract_features, window, directory, 20)
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.activity import SimulationEngine, build_campaign
 from repro.analysis.controlled import fit_power_law, run_experiment
-from repro.datasets import read_log, write_log
+from repro.datasets import read_log_block, write_log
 from repro.dnssim import Authority, AuthorityLevel, DnsHierarchy, ResolverConfig
 from repro.netmodel import World, WorldConfig, ip_to_str
 from repro.sensor import SensorConfig, SensorEngine, WorldDirectory
@@ -87,7 +87,7 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "de-dns.log"
         count = write_log(path, de_sensor.log)
-        reloaded = read_log(path)
+        reloaded = read_log_block(path)
         print(f"wrote and reloaded {count} == {len(reloaded)} log lines")
 
 

@@ -9,10 +9,10 @@ Layout::
     ├── io         text logs + JSONL querier directories
     └── dnstap     framed binary logs (.rbsc)
 
-Logs read back either as entry lists (``read_log`` / ``read_frames``)
-or straight into columnar :class:`~repro.logstore.EntryBlock` form
-(``read_log_block`` / ``read_frames_block``) for the array ingest
-plane; ``.npz`` / ``.npy`` block files are handled by
+Logs read back in columnar :class:`~repro.logstore.EntryBlock` form
+(``read_log_block`` / ``read_frames_block``), the one ingest form;
+``.to_entries()`` gives ``QueryLogEntry`` objects where a caller wants
+them.  ``.npz`` / ``.npy`` block files are handled by
 :mod:`repro.logstore` itself.
 
 ``get_dataset("JP-ditl", preset="tiny")`` is the entry point most code
@@ -30,7 +30,6 @@ from repro.datasets.generate import (
 )
 from repro.datasets.io import (
     read_directory,
-    read_log,
     read_log_block,
     write_directory,
     write_log,
@@ -48,7 +47,6 @@ __all__ = [
     "get_dataset",
     "read_directory",
     "read_frames_block",
-    "read_log",
     "read_log_block",
     "spec_for",
     "write_directory",

@@ -39,7 +39,6 @@ from repro.sensor.directory import FrozenDirectory, QuerierInfo
 
 __all__ = [
     "write_log",
-    "read_log",
     "read_log_block",
     "decode_text_lines",
     "write_directory",
@@ -74,11 +73,6 @@ def write_log(path: str | Path, entries: Iterable[QueryLogEntry]) -> int:
             )
             count += 1
     return count
-
-
-def read_log(path: str | Path) -> list[QueryLogEntry]:
-    """Parse a text log into entry objects (:func:`read_log_block`, converted)."""
-    return read_log_block(path).to_entries()
 
 
 def read_log_block(path: str | Path) -> EntryBlock:

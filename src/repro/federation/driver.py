@@ -31,7 +31,7 @@ is first appearance — row contents and per-originator verdicts match).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.dnssim.message import QueryLogEntry
 from repro.federation.merge import merge_rows, merged_context
@@ -255,7 +255,7 @@ class FederatedSensor(SensorEngine):
 
     def windows(
         self,
-        entries: Sequence[QueryLogEntry] | Iterable[QueryLogEntry] | EntryBlock,
+        entries: Iterable[QueryLogEntry] | EntryBlock,
         start: float,
         end: float,
         window_seconds: float | None = None,

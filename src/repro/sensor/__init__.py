@@ -9,7 +9,6 @@ from repro.sensor.collection import (
     DEDUP_WINDOW_SECONDS,
     ObservationWindow,
     OriginatorObservation,
-    collect_window,
     dedup_entries,
 )
 from repro.sensor.curation import (
@@ -84,7 +83,6 @@ __all__ = [
     "DEDUP_WINDOW_SECONDS",
     "ObservationWindow",
     "OriginatorObservation",
-    "collect_window",
     "dedup_entries",
     "MIN_EXAMPLES_PER_CLASS",
     "MIN_TOTAL_EXAMPLES",

@@ -12,14 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.dnssim.message import QueryLogEntry
 
 if TYPE_CHECKING:
-    from repro.logstore import EntryBlock
     from repro.sketch.prestage import SketchPreStage
 
 __all__ = [
@@ -27,7 +26,6 @@ __all__ = [
     "dedup_entries",
     "OriginatorObservation",
     "ObservationWindow",
-    "collect_window",
 ]
 
 DEDUP_WINDOW_SECONDS = 30.0
@@ -206,47 +204,3 @@ def extend_window_arrays(
             observation = OriginatorObservation(originator=originator)
             observations[originator] = observation
         observation.extend_lists(ts_sorted[lo:hi], qs_sorted[lo:hi])
-
-
-def collect_window(
-    entries: "Iterable[QueryLogEntry] | EntryBlock",
-    start: float,
-    end: float,
-    dedup_window: float = DEDUP_WINDOW_SECONDS,
-) -> ObservationWindow:
-    """Build an :class:`ObservationWindow` from raw log entries.
-
-    Filters to ``start <= t < end``, dedups, then groups by originator —
-    as pure array math over the columnar form.  *entries* may be an
-    :class:`~repro.logstore.EntryBlock` (used as-is) or any iterable of
-    :class:`QueryLogEntry` (converted in bounded chunks).
-
-    In-range entries must be in non-decreasing timestamp order; order is
-    validated **before** any state is built, so a failed call leaves no
-    partial window behind.  Calls :func:`repro.logstore.dedup_mask`
-    directly — the same dedup
-    :class:`repro.sensor.streaming.StreamingCollector` applies per
-    window, checked against :func:`dedup_entries` by property tests.
-    """
-    from repro.logstore import EntryBlock, dedup_mask
-
-    if end <= start:
-        raise ValueError("end must be after start")
-    if dedup_window < 0:
-        raise ValueError("dedup_window must be non-negative")
-    block = entries if isinstance(entries, EntryBlock) else EntryBlock.from_entries(entries)
-    ts = block.timestamps
-    in_range = (ts >= start) & (ts < end)
-    timestamps = ts[in_range]
-    window = ObservationWindow(start=start, end=end)
-    if timestamps.size == 0:
-        return window
-    if np.any(timestamps[1:] < timestamps[:-1]):
-        raise ValueError("entries are not time-ordered")
-    queriers = block.queriers[in_range]
-    originators = block.originators[in_range]
-    mask, _ = dedup_mask(timestamps, queriers, originators, dedup_window)
-    extend_window_arrays(
-        window, timestamps[mask], queriers[mask], originators[mask]
-    )
-    return window

@@ -14,8 +14,9 @@ ingest     § III-A — accept (timestamp, querier, originator) tuples,
            validate ordering / drop strictly-late arrivals
 window     § III-A/B — 30 s per-(querier, originator) dedup + grouping
            into observation intervals (:class:`StreamingCollector` is
-           the single implementation, fed :class:`EntryBlock` chunks;
-           batch calls and ``QueryLogEntry`` input convert onto it)
+           the single implementation, fed :class:`EntryBlock` chunks —
+           live by :meth:`SensorEngine.ingest_block`; the batch calls
+           convert a ``QueryLogEntry`` list to one block, once)
 select     § III-B — keep analyzable originators (>= ``min_queriers``
            unique queriers)
 featurize  § III-C/D — the 14 static + 8 dynamic features per selected
@@ -48,12 +49,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable
 
 import numpy as np
 
 from repro.dnssim.message import QueryLogEntry
-from repro.logstore import EntryBlock, blocks_from_entries
+from repro.logstore import EntryBlock
 from repro.ml.forest import ForestConfig, RandomForestClassifier
 from repro.ml.validation import (
     Classifier,
@@ -250,8 +251,8 @@ class SensorEngine:
     Batch and streaming are the same pipeline.  Batch calls
     (:meth:`process`, :meth:`windows`, :meth:`collect`) run a whole
     time-ordered log through a fresh collector; streaming calls
-    (:meth:`ingest`, :meth:`poll`, :meth:`finish`) feed a persistent one
-    and hand back windows as the watermark closes them.  Both paths use
+    (:meth:`ingest_block`, :meth:`poll`, :meth:`finish`) feed a
+    persistent one and hand back windows as the watermark closes them.  Both paths use
     :class:`~repro.sensor.streaming.StreamingCollector` as the single
     windowing/dedup implementation and record per-stage
     :class:`StageStats` (see :meth:`accounting`).
@@ -435,29 +436,14 @@ class SensorEngine:
             prestage_factory=factory,
         )
 
-    def ingest(self, entry: QueryLogEntry) -> None:
-        """Feed one live entry (streaming path), as a one-event block.
-
-        A convenience for examples and tests, not a feed path: see
-        :meth:`~repro.sensor.streaming.StreamingCollector.ingest`.
-        """
-        self.ingest_many((entry,))
-
-    def ingest_many(self, entries: Iterable[QueryLogEntry]) -> None:
-        """Feed a chunk of live entries (streaming path), as blocks.
+    def ingest_block(self, block: EntryBlock) -> None:
+        """Feed one columnar block of live entries (streaming path).
 
         Feed time — validation, dedup, and windowing work triggered by
         the entries' arrival — is ingest-stage time; window-stage time is
         only accrued when windows are closed (:meth:`poll` /
         :meth:`finish`), so no wall second is counted twice.
         """
-        with self._scope(), span("stage.ingest") as sp:
-            for block in blocks_from_entries(entries):
-                self.collector.ingest_block(block)
-        self.stats["ingest"].seconds += sp.elapsed
-
-    def ingest_block(self, block: EntryBlock) -> None:
-        """Feed one columnar block of live entries (streaming path)."""
         with self._scope():
             with span("stage.ingest") as sp:
                 self.collector.ingest_block(block)
@@ -552,7 +538,7 @@ class SensorEngine:
 
     def _block_in_range(
         self,
-        entries: Sequence[QueryLogEntry] | Iterable[QueryLogEntry] | EntryBlock,
+        entries: Iterable[QueryLogEntry] | EntryBlock,
         start: float,
         end: float,
     ) -> tuple[int, EntryBlock]:
@@ -589,7 +575,7 @@ class SensorEngine:
 
     def windows(
         self,
-        entries: Sequence[QueryLogEntry] | Iterable[QueryLogEntry] | EntryBlock,
+        entries: Iterable[QueryLogEntry] | EntryBlock,
         start: float,
         end: float,
         window_seconds: float | None = None,
@@ -723,7 +709,7 @@ class SensorEngine:
 
     def collect(
         self,
-        entries: Sequence[QueryLogEntry] | Iterable[QueryLogEntry] | EntryBlock,
+        entries: Iterable[QueryLogEntry] | EntryBlock,
         start: float,
         end: float,
     ) -> ObservationWindow:
@@ -933,7 +919,7 @@ class SensorEngine:
 
     def process(
         self,
-        entries: Sequence[QueryLogEntry] | Iterable[QueryLogEntry] | EntryBlock,
+        entries: Iterable[QueryLogEntry] | EntryBlock,
         start: float,
         end: float,
         classify: bool | None = None,

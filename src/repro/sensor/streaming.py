@@ -2,8 +2,10 @@
 
 Every sensing path — batch, streaming, sketched, sharded, served — feeds
 :class:`StreamingCollector` columnar event chunks
-(:class:`~repro.logstore.EntryBlock` columns); ``QueryLogEntry`` callers
-are converted to blocks in front of it.  One chunk flows through:
+(:class:`~repro.logstore.EntryBlock` columns) through
+:meth:`~StreamingCollector.ingest_block` or
+:meth:`~StreamingCollector.ingest_arrays` — there is no per-entry call.
+One chunk flows through:
 
 1. :class:`~repro.sensor.reorder.ReorderFront` — accept / count late /
    release in time order once the watermark passes (§ III-A's "near time
@@ -47,12 +49,10 @@ oracle :func:`~repro.sensor.collection.dedup_entries`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from repro.dnssim.message import QueryLogEntry
-from repro.logstore.block import blocks_from_entries
 from repro.logstore.ops import dedup_mask
 from repro.sensor.collection import (
     DEDUP_WINDOW_SECONDS,
@@ -163,25 +163,6 @@ class StreamingCollector:
             )
             self._open[index] = window
         return window
-
-    def ingest(self, entry: QueryLogEntry) -> None:
-        """Feed one entry: a one-event :meth:`ingest_arrays` call.
-
-        A convenience for examples and tests, not a feed path — every
-        call pays the per-chunk fixed costs (array setup, the dedup-state
-        prune over all live pairs).  Feed logs with :meth:`ingest_many`
-        or :meth:`ingest_block`.
-        """
-        self.ingest_arrays(
-            np.array([entry.timestamp], dtype=np.float64),
-            np.array([entry.querier], dtype=np.int64),
-            np.array([entry.originator], dtype=np.int64),
-        )
-
-    def ingest_many(self, entries: Iterable[QueryLogEntry]) -> None:
-        """Feed an iterable of entries, converted to blocks chunk by chunk."""
-        for block in blocks_from_entries(entries):
-            self.ingest_block(block)
 
     def ingest_block(self, block: "EntryBlock") -> None:
         """Feed one columnar block."""

@@ -11,36 +11,34 @@ understand are supported, plus auto-sniffing on the ``RBSC`` magic:
   comments and blank lines ignored, decoded a whole read at a time by
   :func:`repro.datasets.io.decode_text_lines` (the one text grammar);
 * **rbsc** — the framed binary format of :mod:`repro.datasets.dnstap`:
-  6-byte header, then fixed 18-byte length-prefixed frames, decoded
-  with one ``np.frombuffer`` per chunk.
+  6-byte header, then fixed 18-byte length-prefixed frames, decoded a
+  read's complete records at a time by that module's grammar (the one
+  ``.rbsc`` grammar), so the feed reports the same first fault, in the
+  same words, as :func:`~repro.datasets.dnstap.read_frames_block`.
 """
 
 from __future__ import annotations
 
-import struct
-
-import numpy as np
-
-from repro.datasets.dnstap import MAGIC, VERSION
+from repro.datasets.dnstap import (
+    HEADER_SIZE,
+    MAGIC,
+    RECORD_SIZE,
+    decode_frames,
+    header_error,
+    tail_error,
+)
 from repro.datasets.io import decode_text_lines
 from repro.logstore import EntryBlock
 
 __all__ = ["FeedError", "FeedReader"]
-
-_HEADER = struct.Struct(">4sH")
-_RECORD_SIZE = 18  # 2-byte length prefix + 16-byte (>dII) body
-_FRAME_SIZE = 16
-_RECORD_DTYPE = np.dtype(
-    [("length", ">u2"), ("timestamp", ">f8"), ("querier", ">u4"), ("originator", ">u4")]
-)
 
 
 class FeedError(ValueError):
     """An ``.rbsc`` feed lost its framing; the reader is closed.
 
     ``reason`` is ``"frame"`` (bad header or frame length) or
-    ``"truncated"`` (a partial frame at ``close()``); ``block`` holds the
-    frames of the failing read that decoded before the bad one.
+    ``"truncated"`` (a partial header or frame at ``close()``); ``block``
+    holds the frames of the failing read that decoded before the bad one.
     """
 
     def __init__(self, message: str, reason: str, block: EntryBlock) -> None:
@@ -55,8 +53,8 @@ class FeedReader:
     ``feed(data)`` consumes a chunk and returns the entries completed by
     it (possibly empty); ``close()`` flushes the final unterminated text
     line.  A text line that does not parse is skipped and counted in
-    ``bad_lines``.  A bad ``.rbsc`` header or frame, or a partial frame
-    at ``close()``, raises :class:`FeedError` and closes the reader,
+    ``bad_lines``.  A bad ``.rbsc`` header or frame, or a partial header
+    or frame at ``close()``, raises :class:`FeedError` and closes the reader,
     since framing is lost.  A reader constructed with ``format="auto"``
     resolves to ``rbsc`` iff the stream opens with the ``RBSC`` magic
     (decided once at least 4 bytes arrive).
@@ -99,11 +97,8 @@ class FeedReader:
         self._closed = True
         if self._format == "rbsc":
             if self._buffer:
-                raise FeedError(
-                    f"feed truncated: {len(self._buffer)} bytes of partial frame",
-                    "truncated",
-                    EntryBlock.empty(),
-                )
+                describe = tail_error if self._header_seen else header_error
+                raise self._lost_framing(describe(self._buffer), "truncated", EntryBlock.empty())
             return EntryBlock.empty()
         # Auto that never saw 4 bytes is a (possibly empty) text tail.
         self._format = "text"
@@ -125,45 +120,27 @@ class FeedReader:
 
     # -- rbsc -----------------------------------------------------------
 
-    def _lost_framing(self, message: str, block: EntryBlock) -> FeedError:
+    def _lost_framing(self, error: str, reason: str, block: EntryBlock) -> FeedError:
         self._closed = True
         self._buffer.clear()
-        return FeedError(message, "frame", block)
+        return FeedError(f"feed: {error}", reason, block)
 
     def _decode_rbsc(self) -> EntryBlock:
+        buffer = self._buffer
         if not self._header_seen:
-            if len(self._buffer) < _HEADER.size:
+            if len(buffer) < HEADER_SIZE:
                 return EntryBlock.empty()
-            magic, version = _HEADER.unpack_from(self._buffer)
-            if magic != MAGIC:
-                raise self._lost_framing(
-                    f"feed: bad magic {magic!r} (expected {MAGIC!r})", EntryBlock.empty()
-                )
-            if version != VERSION:
-                raise self._lost_framing(
-                    f"feed: unsupported version {version} (expected {VERSION})",
-                    EntryBlock.empty(),
-                )
-            del self._buffer[: _HEADER.size]
+            error = header_error(buffer)
+            if error is not None:
+                raise self._lost_framing(error, "frame", EntryBlock.empty())
+            del buffer[:HEADER_SIZE]
             self._header_seen = True
-        n = len(self._buffer) // _RECORD_SIZE
-        if n == 0:
+        cut = len(buffer) - len(buffer) % RECORD_SIZE
+        if cut == 0:
             return EntryBlock.empty()
-        complete = bytes(self._buffer[: n * _RECORD_SIZE])
-        del self._buffer[: n * _RECORD_SIZE]
-        records = np.frombuffer(complete, dtype=_RECORD_DTYPE, count=n)
-        bad = np.flatnonzero(records["length"] != _FRAME_SIZE)
-        good = records[: bad[0]] if bad.size else records
-        self.entries_decoded += len(good)
-        block = EntryBlock.from_arrays(
-            good["timestamp"].astype(np.float64),
-            good["querier"].astype(np.int64),
-            good["originator"].astype(np.int64),
-        )
-        if bad.size:
-            raise self._lost_framing(
-                f"feed: invalid frame length {int(records['length'][bad[0]])} "
-                f"(expected {_FRAME_SIZE})",
-                block,
-            )
+        block, _, error = decode_frames(bytes(buffer[:cut]))
+        del buffer[:cut]
+        self.entries_decoded += len(block)
+        if error is not None:
+            raise self._lost_framing(error, "frame", block)
         return block

@@ -8,6 +8,7 @@ import os
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
@@ -48,18 +49,14 @@ class TestGenerate:
         }
 
     def test_text_and_binary_logs_agree(self, generated):
-        from repro.datasets import read_log
-        from repro.datasets.dnstap import read_frames
+        from repro.datasets import read_frames_block, read_log_block
 
-        text = read_log(generated / "B-post-ditl.log")
-        binary = read_frames(generated / "B-post-ditl.rbsc")
+        text = read_log_block(generated / "B-post-ditl.log")
+        binary = read_frames_block(generated / "B-post-ditl.rbsc")
         assert len(text) == len(binary)
-        assert all(
-            abs(a.timestamp - b.timestamp) < 1e-2
-            and a.querier == b.querier
-            and a.originator == b.originator
-            for a, b in zip(text, binary)
-        )
+        assert np.all(np.abs(text.timestamps - binary.timestamps) < 1e-2)
+        assert np.array_equal(text.queriers, binary.queriers)
+        assert np.array_equal(text.originators, binary.originators)
 
     def test_block_matches_binary_log(self, generated):
         from repro.datasets.dnstap import read_frames_block

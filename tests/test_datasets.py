@@ -10,7 +10,7 @@ from repro.datasets import (
     DATASET_SPECS,
     generate_dataset,
     read_directory,
-    read_log,
+    read_log_block,
     spec_for,
     write_directory,
     write_log,
@@ -109,13 +109,13 @@ class TestIo:
         ]
         path = tmp_path / "log.txt"
         assert write_log(path, entries) == 2
-        loaded = read_log(path)
+        loaded = read_log_block(path).to_entries()
         assert loaded == entries
 
     def test_log_skips_comments(self, tmp_path):
         path = tmp_path / "log.txt"
         path.write_text("# header\n\n1.0 1.2.3.4 8.7.6.5.in-addr.arpa\n")
-        loaded = read_log(path)
+        loaded = read_log_block(path).to_entries()
         assert len(loaded) == 1
         assert loaded[0].originator == 0x05060708
 
@@ -123,7 +123,7 @@ class TestIo:
         path = tmp_path / "log.txt"
         path.write_text("1.0 1.2.3.4\n")
         with pytest.raises(ValueError):
-            read_log(path)
+            read_log_block(path)
 
     def test_directory_roundtrip(self, tmp_path):
         infos = [
@@ -249,7 +249,7 @@ class TestIo:
         dataset = generate_dataset(spec_for("B-post-ditl", "tiny"))
         log_path = tmp_path / "b.log"
         write_log(log_path, dataset.sensor.log)
-        loaded = read_log(log_path)
+        loaded = read_log_block(log_path)
         assert len(loaded) == len(dataset.sensor.log)
         directory_path = tmp_path / "b.dir"
         world_directory = dataset.directory()

@@ -17,8 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dnssim.message import QueryLogEntry
+from repro.logstore import EntryBlock
 from repro.netmodel.world import NameStatus
-from repro.sensor.collection import collect_window
+from repro.sensor.collection import dedup_entries
 from repro.sensor.directory import QuerierInfo, StaticDirectory
 from repro.sensor.engine import (
     STAGE_NAMES,
@@ -132,7 +133,9 @@ class TestStageStats:
         engine = SensorEngine(
             config=SensorConfig(window_seconds=100.0, reorder_slack=0.0)
         )
-        engine.ingest_many([entry(10.0), entry(12.0), entry(150.0), entry(20.0)])
+        engine.ingest_block(
+            EntryBlock.from_entries([entry(10.0), entry(12.0), entry(150.0), entry(20.0)])
+        )
         engine.finish()
         stats = {s.name: s for s in engine.accounting()}
         assert stats["ingest"].items_in == 4
@@ -177,20 +180,29 @@ class TestStageStats:
 
 class TestBatchStreamingEquivalence:
     """The unified-path guarantee: StreamingCollector windows are exactly
-    what collect_window produces for the same boundaries."""
+    the scalar oracle — the window's in-range entries deduped by
+    ``dedup_entries``, grouped by originator — for the same boundaries."""
 
     @staticmethod
     def assert_windows_match(streamed, entries):
         for window in streamed:
             if not len(window):
                 continue
-            batch = collect_window(entries, window.start, window.end)
-            assert set(window.observations) == set(batch.observations)
+            expected: dict[int, list[QueryLogEntry]] = {}
+            in_range = [e for e in entries if window.start <= e.timestamp < window.end]
+            for kept in dedup_entries(in_range):
+                expected.setdefault(kept.originator, []).append(kept)
+            assert list(window.observations) == list(expected)
             for originator, observation in window.observations.items():
-                expected = batch.observations[originator]
-                assert observation.timestamps == expected.timestamps
-                assert observation.queriers == expected.queriers
-                assert observation.unique_queriers == expected.unique_queriers
+                want = expected[originator]
+                assert observation.timestamps == [e.timestamp for e in want]
+                assert observation.queriers == [e.querier for e in want]
+                assert observation.unique_queriers == {e.querier for e in want}
+
+    @staticmethod
+    def stream(collector, entries):
+        collector.ingest_block(EntryBlock.from_entries(entries))
+        return collector.flush()
 
     def test_dedup_burst_straddling_boundary(self):
         # Same (querier, originator) pair fires just before and just
@@ -198,8 +210,7 @@ class TestBatchStreamingEquivalence:
         # sides keep their first query.
         entries = [entry(95.0), entry(98.0), entry(101.0), entry(104.0)]
         collector = StreamingCollector(window_seconds=100.0, reorder_slack=0.0)
-        collector.ingest_many(entries)
-        streamed = collector.flush()
+        streamed = self.stream(collector, entries)
         assert [len(w) for w in streamed] == [1, 1]
         first, second = streamed
         assert first.observations[2].timestamps == [95.0]
@@ -218,8 +229,7 @@ class TestBatchStreamingEquivalence:
             entry(108.0, querier=2),
         ]
         collector = StreamingCollector(window_seconds=100.0, reorder_slack=5.0)
-        collector.ingest_many(shuffled)
-        streamed = collector.flush()
+        streamed = self.stream(collector, shuffled)
         ordered = sorted(shuffled, key=lambda e: e.timestamp)
         self.assert_windows_match(streamed, ordered)
         # The pair (querier=1, originator=2) at t=9 must dedup against
@@ -246,8 +256,7 @@ class TestBatchStreamingEquivalence:
         """
         entries = [entry(t, q, o) for t, q, o in sorted(raw, key=lambda r: r[0])]
         collector = StreamingCollector(window_seconds=250.0, reorder_slack=slack)
-        collector.ingest_many(entries)
-        streamed = collector.flush()
+        streamed = self.stream(collector, entries)
         self.assert_windows_match(streamed, entries)
 
     @settings(max_examples=60, deadline=None)
@@ -277,9 +286,8 @@ class TestBatchStreamingEquivalence:
             )
         ]
         collector = StreamingCollector(window_seconds=250.0, reorder_slack=slack)
-        collector.ingest_many(arrival)
+        streamed = self.stream(collector, arrival)
         assert collector.stats.late_dropped == 0
-        streamed = collector.flush()
         ordered = sorted(arrival, key=lambda e: e.timestamp)
         self.assert_windows_match(streamed, ordered)
 
@@ -409,7 +417,7 @@ class TestStreamingEngine:
                for q in range(100, 130)],
             key=lambda e: e.timestamp,
         )
-        engine.ingest_many(entries)
+        engine.ingest_block(EntryBlock.from_entries(entries))
         sensed = engine.poll() + engine.finish()
         assert len(sensed) == 2
         assert all(s.features is not None for s in sensed)

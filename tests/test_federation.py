@@ -351,7 +351,7 @@ class TestStreamingEquivalence:
         )
         entries = synthetic_entries()
         engine = SensorEngine(directory, config)
-        engine.ingest_many(entries)
+        engine.ingest_block(EntryBlock.from_entries(entries))
         expected = engine.poll(classify=False) + engine.finish(classify=False)
         block = EntryBlock.from_entries(entries)
         with FederatedSensor(

@@ -7,9 +7,12 @@
   bit for bit, in line order) and its skipped-line count must equal the
   per-line loop below; ``read_log_block`` must stop at the same first
   bad line.
-* rbsc: a bad frame keeps the frames before it, ends that one feed with
-  a counted error, and a bad frame in a tailed file leaves ``stop()``
-  able to finish.
+* rbsc: :mod:`repro.datasets.dnstap` holds the one frame grammar.  For
+  any frame stream and any cut into reads, the feed decoder keeps the
+  same frames before the first fault, and names the same fault, as
+  ``read_frames_block`` on the whole file.  A bad frame ends that one
+  feed with a counted error, and a bad frame in a tailed file leaves
+  ``stop()`` able to finish.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.datasets import io, read_log_block
-from repro.datasets.dnstap import MAGIC, VERSION
+from repro.datasets.dnstap import MAGIC, VERSION, read_frames_block
 from repro.logstore import ENTRY_DTYPE
 from repro.netmodel.addressing import reverse_name_to_ip, str_to_ip
 from repro.sensor.engine import SensorConfig
@@ -232,7 +235,57 @@ def frames(count: int, bad_length: int | None = None) -> bytes:
     return out
 
 
+def frame(i: int, length: int = 16) -> bytes:
+    return struct.pack(">HdII", length, 10.0 + i, 100 + i, 200)
+
+
+@st.composite
+def frame_streams(draw) -> tuple[bytes, int]:
+    """Good frames, maybe one bad length, maybe a partial tail.
+
+    Returns the stream and how many good frames precede its first fault.
+    """
+    count = draw(st.integers(0, 40))
+    bad = draw(st.none() | st.integers(0, count))
+    records = [frame(i) for i in range(count)]
+    if bad is not None:
+        length = draw(st.integers(0, 0xFFFF).filter(lambda n: n != 16))
+        records.insert(bad, frame(99, length))
+    tail = draw(st.integers(0, 17).map(lambda k: frame(count)[:k]) | st.binary(max_size=17))
+    before = count if bad is None else bad
+    return struct.pack(">4sH", MAGIC, VERSION) + b"".join(records) + tail, before
+
+
 class TestRbscFraming:
+    @settings(max_examples=200, deadline=None)
+    @given(drawn=frame_streams(), read=st.sampled_from([1, 7, 18, 1 << 16, None]))
+    def test_feed_and_file_name_the_same_first_fault(self, drawn, read):
+        payload, before = drawn
+        reader = FeedReader("auto")
+        step = read or len(payload)
+        blocks, got_error = [], None
+        try:
+            for lo in range(0, len(payload), step):
+                blocks.append(reader.feed(payload[lo : lo + step]))
+            blocks.append(reader.close())
+        except FeedError as error:
+            blocks.append(error.block)
+            got_error = str(error).removeprefix("feed: ")
+        got = np.concatenate([block.data for block in blocks])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "log.rbsc"
+            path.write_bytes(payload)
+            try:
+                read_frames_block(path)
+                want_error = None
+            except ValueError as error:
+                want_error = str(error).removeprefix(f"{path}: ")
+            path.write_bytes(payload[: 6 + 18 * before])
+            want = read_frames_block(path).data
+        assert got_error == want_error
+        assert got.tobytes() == want.tobytes()
+        assert reader.entries_decoded == len(want)
+
     def test_bad_frame_keeps_the_frames_before_it(self):
         reader = FeedReader("auto")
         with pytest.raises(FeedError, match="frame length 99") as caught:
@@ -248,6 +301,13 @@ class TestRbscFraming:
         reader = FeedReader("rbsc")
         assert len(reader.feed(frames(3)[:-5])) == 2
         with pytest.raises(FeedError, match="truncated") as caught:
+            reader.close()
+        assert caught.value.reason == "truncated" and len(caught.value.block) == 0
+
+    def test_partial_header_at_close_is_a_truncated_header(self):
+        reader = FeedReader("auto")
+        assert len(reader.feed(b"RBSC\x00")) == 0
+        with pytest.raises(FeedError, match=r"^feed: truncated header \(5 bytes\)$") as caught:
             reader.close()
         assert caught.value.reason == "truncated" and len(caught.value.block) == 0
 
@@ -273,8 +333,12 @@ def _errors(service: BackscatterService, reason: str) -> float:
 class TestFeedErrorsInTheService:
     @pytest.mark.parametrize(
         "payload,reason,events",
-        [(frames(10, bad_length=99), "frame", 10), (frames(3)[:-5], "truncated", 2)],
-        ids=["frame", "truncated"],
+        [
+            (frames(10, bad_length=99), "frame", 10),
+            (frames(3)[:-5], "truncated", 2),
+            (b"RBSC\x00", "truncated", 0),
+        ],
+        ids=["frame", "truncated", "header"],
     )
     def test_socket_keeps_good_frames_and_counts_the_error(self, payload, reason, events):
         async def run():

@@ -1,16 +1,16 @@
 """Chunk invariance of block ingest, end to end.
 
 There is one ingest path — columnar :class:`~repro.logstore.EntryBlock`
-chunks — and ``QueryLogEntry`` callers are converted in front of it, so
-"per entry" here means chunk size 1 (``ingest(entry)`` is a one-event
-block).  These tests pin that windows, observation order, and stats are
+chunks — so "per entry" here means chunk size 1 (``block[i : i + 1]``).
+These tests pin that windows, observation order, and stats are
 **bit-identical** for every split of a stream — on adversarial logs with
 timestamp ties, window-boundary straddles, disorder within the reorder
-slack, and strictly-late drops — and that list and block inputs give the
-same result.  (The semantics themselves are checked against scalar
-models in ``test_ingest_properties.py``.)  Also pins: upfront order
-validation in ``collect_window``, the lazily-cached unique-querier view,
-and deterministic arrival-order release of reorder-buffer ties.
+slack, and strictly-late drops — and that list and block inputs to the
+batch calls give the same result.  (The semantics themselves are
+checked against scalar models in ``test_ingest_properties.py``.)  Also
+pins: the one-window batch call against the scalar dedup oracle, upfront
+order validation, the lazily-cached unique-querier view, and
+deterministic arrival-order release of reorder-buffer ties.
 """
 
 from __future__ import annotations
@@ -22,10 +22,7 @@ from hypothesis import strategies as st
 
 from repro.dnssim.message import QueryLogEntry
 from repro.logstore import EntryBlock
-from repro.sensor.collection import (
-    OriginatorObservation,
-    collect_window,
-)
+from repro.sensor.collection import OriginatorObservation, dedup_entries
 from repro.sensor.engine import SensorConfig, SensorEngine
 from repro.sensor.streaming import StreamingCollector
 
@@ -68,53 +65,64 @@ rows_strategy = st.lists(
 )
 
 
-class TestCollectWindowBlock:
-    @given(rows_strategy, st.sampled_from([0.0, 1.0, 30.0]))
-    @settings(max_examples=150, deadline=None)
-    def test_block_matches_object_path(self, rows, dedup_window):
-        rows.sort(key=lambda r: r[0])
-        entries = make_entries(rows)
-        block = EntryBlock.from_entries(entries)
-        via_objects = collect_window(entries, 0.0, 100.0, dedup_window)
-        via_block = collect_window(block, 0.0, 100.0, dedup_window)
-        assert window_signature(via_block) == window_signature(via_objects)
+def one_at_a_time(collector, entries):
+    block = EntryBlock.from_entries(entries)
+    for i in range(len(block)):
+        collector.ingest_block(block[i : i + 1])
 
-    @given(rows_strategy)
-    @settings(max_examples=100, deadline=None)
-    def test_boundary_straddles_filtered_identically(self, rows):
+
+def oracle_window(entries, start, end, dedup_window):
+    """(start, end, groups) of § III-A/B by the scalar dedup oracle:
+    in-range entries deduped, grouped by originator in first-kept order."""
+    groups: dict[int, tuple[list, list]] = {}
+    in_range = [e for e in entries if start <= e.timestamp < end]
+    for e in dedup_entries(in_range, dedup_window):
+        timestamps, queriers = groups.setdefault(e.originator, ([], []))
+        timestamps.append(e.timestamp)
+        queriers.append(e.querier)
+    return start, end, [(o, tuple(ts), tuple(qs)) for o, (ts, qs) in groups.items()]
+
+
+class TestCollectBlock:
+    @given(
+        rows_strategy,
+        st.sampled_from([0.0, 1.0, 30.0]),
+        st.sampled_from([(0.0, 100.0), (20.0, 60.0)]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_collect_is_the_oracle_over_its_range(self, rows, dedup_window, span):
+        # (20, 60) lies strictly inside the data span: out-of-range
+        # entries on both sides must be filtered before dedup.
         rows.sort(key=lambda r: r[0])
         entries = make_entries(rows)
-        block = EntryBlock.from_entries(entries)
-        # A window interval strictly inside the data span: out-of-range
-        # entries on both sides must be filtered before dedup.
-        via_objects = collect_window(entries, 20.0, 60.0)
-        via_block = collect_window(block, 20.0, 60.0)
-        assert window_signature(via_block) == window_signature(via_objects)
-        for obs in via_block.observations.values():
-            assert all(20.0 <= t < 60.0 for t in obs.timestamps)
+        engine = SensorEngine(config=SensorConfig(dedup_window=dedup_window))
+        window = engine.collect(EntryBlock.from_entries(entries), *span)
+        assert window_signature(window) == oracle_window(entries, *span, dedup_window)
 
     def test_unsorted_input_raises_before_building_state(self):
-        """Regression (satellite): unsorted in-range input used to raise
+        """Regression: unsorted in-range input used to raise
         mid-iteration, after part of the window was already built; order
         is now validated upfront for both input forms."""
         entries = make_entries([(5.0, 1, 1), (3.0, 2, 2), (7.0, 3, 3)])
+        engine = SensorEngine()
         with pytest.raises(ValueError, match="not time-ordered"):
-            collect_window(entries, 0.0, 10.0)
+            engine.collect(entries, 0.0, 10.0)
         with pytest.raises(ValueError, match="not time-ordered"):
-            collect_window(EntryBlock.from_entries(entries), 0.0, 10.0)
+            engine.collect(EntryBlock.from_entries(entries), 0.0, 10.0)
+        assert all(stage.items_in == 0 for stage in engine.accounting())
 
     def test_unsorted_outside_range_is_harmless(self):
         # Disorder confined to out-of-range entries doesn't affect the
         # window and is not an error.
         entries = make_entries([(50.0, 1, 1), (2.0, 2, 2), (5.0, 3, 3)])
-        window = collect_window(entries, 4.0, 10.0)
+        window = SensorEngine().collect(entries, 4.0, 10.0)
         assert len(window) == 1
 
     def test_invalid_interval_rejected(self):
         with pytest.raises(ValueError, match="end must be after start"):
-            collect_window([], 10.0, 10.0)
+            SensorEngine().collect([], 10.0, 10.0)
         with pytest.raises(ValueError, match="non-negative"):
-            collect_window([], 0.0, 10.0, dedup_window=-1.0)
+            SensorConfig(dedup_window=-1.0)
 
 
 class TestStreamingBlockEquivalence:
@@ -129,8 +137,7 @@ class TestStreamingBlockEquivalence:
         per call and in chunks."""
         entries = make_entries(rows)
         scalar = StreamingCollector(20.0, reorder_slack=slack)
-        for entry in entries:
-            scalar.ingest(entry)
+        one_at_a_time(scalar, entries)
         scalar_windows = scalar.completed_windows() + scalar.flush()
 
         block = StreamingCollector(20.0, reorder_slack=slack)
@@ -143,32 +150,8 @@ class TestStreamingBlockEquivalence:
         ]
         assert stats_signature(block.stats) == stats_signature(scalar.stats)
 
-    @given(rows_strategy, st.integers(min_value=1, max_value=5))
-    @settings(max_examples=100, deadline=None)
-    def test_interleaving_scalar_and_block_ingest(self, rows, chunk):
-        """A non-uniform split: runs of one-event calls alternating with
-        whole chunks."""
-        entries = make_entries(rows)
-        reference = StreamingCollector(20.0, reorder_slack=2.0)
-        for entry in entries:
-            reference.ingest(entry)
-        mixed = StreamingCollector(20.0, reorder_slack=2.0)
-        scalar_turn = True
-        for lo in range(0, len(entries), chunk):
-            part = entries[lo : lo + chunk]
-            if scalar_turn:
-                for entry in part:
-                    mixed.ingest(entry)
-            else:
-                mixed.ingest_block(EntryBlock.from_entries(part))
-            scalar_turn = not scalar_turn
-        assert [window_signature(w) for w in mixed.flush()] == [
-            window_signature(w) for w in reference.flush()
-        ]
-        assert stats_signature(mixed.stats) == stats_signature(reference.stats)
-
     def test_tie_release_is_arrival_order(self):
-        """Satellite: equal timestamps held in the reorder buffer release
+        """Equal timestamps held in the reorder buffer release
         in arrival order, even across chunk boundaries."""
         rows = [(10.0, 1, 1), (10.0, 2, 1), (10.0, 3, 1), (10.0, 4, 1)]
         for chunk in (1, 2, 4):
@@ -184,8 +167,7 @@ class TestStreamingBlockEquivalence:
     def test_late_drops_counted_identically(self):
         rows = [(30.0, 1, 1), (5.0, 2, 2), (31.0, 3, 3)]  # 5.0 is > slack late
         scalar = StreamingCollector(20.0, reorder_slack=2.0)
-        for entry in make_entries(rows):
-            scalar.ingest(entry)
+        one_at_a_time(scalar, make_entries(rows))
         block = StreamingCollector(20.0, reorder_slack=2.0)
         block.ingest_block(EntryBlock.from_entries(make_entries(rows)))
         assert scalar.stats.late_dropped == block.stats.late_dropped == 1
@@ -228,7 +210,7 @@ class TestEngineBlockEquivalence:
 
 
 class TestLazyUniqueQueriers:
-    """Satellite: the unique-querier set is computed on demand and cached,
+    """The unique-querier set is computed on demand and cached,
     not materialized alongside every append."""
 
     def test_not_materialized_by_add(self):

@@ -11,9 +11,9 @@ from repro.dnssim.message import QueryLogEntry
 from repro.sensor.collection import (
     DEDUP_WINDOW_SECONDS,
     ObservationWindow,
-    collect_window,
     dedup_entries,
 )
+from repro.sensor.engine import SensorEngine
 
 
 def entry(ts: float, querier: int = 1, originator: int = 2) -> QueryLogEntry:
@@ -88,6 +88,11 @@ class TestDedup:
             assert kept[0] == entries[0]
 
 
+def collect(entries, start: float, end: float) -> ObservationWindow:
+    """One batch observation window over ``[start, end)``."""
+    return SensorEngine().collect(entries, start, end)
+
+
 class TestCollectWindow:
     def test_groups_by_originator(self):
         entries = [
@@ -95,28 +100,28 @@ class TestCollectWindow:
             entry(1.0, querier=2, originator=10),
             entry(2.0, querier=1, originator=20),
         ]
-        window = collect_window(entries, 0.0, 100.0)
+        window = collect(entries, 0.0, 100.0)
         assert len(window) == 2
         assert window.observations[10].footprint == 2
         assert window.observations[20].footprint == 1
 
     def test_time_range_is_half_open(self):
         entries = [entry(0.0), entry(50.0), entry(100.0)]
-        window = collect_window(entries, 0.0, 100.0)
+        window = collect(entries, 0.0, 100.0)
         assert window.observations[2].query_count == 2
 
     def test_dedup_applied(self):
         entries = [entry(0.0), entry(5.0)]
-        window = collect_window(entries, 0.0, 100.0)
+        window = collect(entries, 0.0, 100.0)
         assert window.observations[2].query_count == 1
 
     def test_bad_range_rejected(self):
         with pytest.raises(ValueError):
-            collect_window([], 10.0, 10.0)
+            collect([], 10.0, 10.0)
 
     def test_footprint_counts_unique_queriers(self):
         entries = [entry(float(i) * 40, querier=i % 3) for i in range(9)]
-        window = collect_window(entries, 0.0, 1e6)
+        window = collect(entries, 0.0, 1e6)
         assert window.observations[2].footprint == 3
         assert window.observations[2].query_count == 9
 
@@ -125,7 +130,7 @@ class TestCollectWindow:
         assert window.duration_days == 2.0
 
     def test_contains_and_get(self):
-        window = collect_window([entry(0.0)], 0.0, 10.0)
+        window = collect([entry(0.0)], 0.0, 10.0)
         assert 2 in window
         assert window.get(2) is not None
         assert window.get(99) is None
@@ -142,7 +147,7 @@ class TestCollectWindow:
     )
     def test_querier_addrs_is_the_sorted_union(self, raw):
         entries = [entry(t, q, o) for t, q, o in sorted(raw, key=lambda r: r[0])]
-        window = collect_window(entries, 0.0, 1000.0)
+        window = collect(entries, 0.0, 1000.0)
         union: set[int] = set()
         for observation in window.observations.values():
             union |= observation.unique_queriers

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dnssim.message import QueryLogEntry
+from repro.logstore import EntryBlock
 from repro.netmodel.world import NameStatus
 from repro.sensor.directory import QuerierInfo, StaticDirectory
 from repro.sensor.engine import SensorConfig, SensorEngine
@@ -219,7 +220,7 @@ class TestStreamingMode:
         exact_engine = SensorEngine(config=SensorConfig(window_seconds=WINDOW, min_queriers=10))
         sketch_engine = SensorEngine(config=config)
         exact_win = exact_engine.windows(entries, 0.0, WINDOW)[0]
-        sketch_engine.ingest_many(entries)
+        sketch_engine.ingest_block(EntryBlock.from_entries(entries))
         sketch_win = sketch_engine.finish(classify=False)[0].window
         prestage = sketch_win.prestage
         assert prestage is not None
@@ -319,7 +320,7 @@ class TestTelemetry:
 
         def stream(registry):
             engine = SensorEngine(directory_for(entries), config, registry=registry)
-            engine.ingest_many(entries)
+            engine.ingest_block(EntryBlock.from_entries(entries))
             return engine.poll(classify=False) + engine.finish(classify=False)
 
         reference = stream(None)

@@ -6,7 +6,7 @@ promoted set, roster and dedup/defer counters must match the per-event
 ``observe()`` oracle exactly, for any chunk split.  The collector above
 it only ever calls ``observe_arrays``, so its tests are chunk-invariance
 tests — emitted windows and stats are the same at chunk size 1
-(``ingest(entry)``) as at any other split, including chunks that
+(``block[i : i + 1]``) as at any other split, including chunks that
 straddle window boundaries and reorder-slack replays.  Also pins the
 satellites that ride along: the gate-cache fix (a DUPLICATE verdict no
 longer invalidates the cached gate), the ``HllBank`` slot ops the
@@ -301,6 +301,12 @@ rows_strategy = st.lists(
 )
 
 
+def one_at_a_time(collector, entries):
+    block = EntryBlock.from_entries(entries)
+    for i in range(len(block)):
+        collector.ingest_block(block[i : i + 1])
+
+
 class TestStreamingCollectorSketchEquivalence:
     def _collector(self, slack: float, promote: int) -> StreamingCollector:
         return StreamingCollector(
@@ -324,8 +330,7 @@ class TestStreamingCollectorSketchEquivalence:
         pre-stage state, rosters, and stats must all match."""
         entries = make_entries(rows)
         scalar = self._collector(slack, promote)
-        for entry in entries:
-            scalar.ingest(entry)
+        one_at_a_time(scalar, entries)
         scalar_windows = scalar.completed_windows() + scalar.flush()
 
         block = self._collector(slack, promote)
@@ -345,15 +350,13 @@ class TestStreamingCollectorSketchEquivalence:
         whole chunks."""
         entries = make_entries(rows)
         reference = self._collector(2.0, 2)
-        for entry in entries:
-            reference.ingest(entry)
+        one_at_a_time(reference, entries)
         mixed = self._collector(2.0, 2)
         scalar_turn = True
         for lo in range(0, len(entries), chunk):
             part = entries[lo : lo + chunk]
             if scalar_turn:
-                for entry in part:
-                    mixed.ingest(entry)
+                one_at_a_time(mixed, part)
             else:
                 mixed.ingest_block(EntryBlock.from_entries(part))
             scalar_turn = not scalar_turn
@@ -378,7 +381,7 @@ class TestStreamingCollectorSketchEquivalence:
         )
         entries = make_entries(rows)
         scalar = self._collector(0.0, 4)
-        scalar.ingest_many(entries)
+        scalar.ingest_block(EntryBlock.from_entries(entries))
         scalar_windows = scalar.flush()
         block = self._collector(0.0, 4)
         for lo in range(0, len(entries), chunk):

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dnssim.message import QueryLogEntry
-from repro.sensor.collection import collect_window
+from repro.logstore import EntryBlock
+from repro.sensor.engine import SensorEngine
 from repro.sensor.streaming import StreamingCollector
 
 
@@ -16,12 +17,17 @@ def entry(ts: float, querier: int = 1, originator: int = 2) -> QueryLogEntry:
     return QueryLogEntry(timestamp=ts, querier=querier, originator=originator)
 
 
+def event(ts: float, querier: int = 1, originator: int = 2) -> EntryBlock:
+    """One event as a one-row block."""
+    return EntryBlock.from_arrays([ts], [querier], [originator])
+
+
 class TestWindowing:
     def test_windows_emitted_at_boundaries(self):
         collector = StreamingCollector(window_seconds=100.0, reorder_slack=0.0)
-        collector.ingest(entry(10.0))
+        collector.ingest_block(event(10.0))
         assert collector.pending_windows == 1
-        collector.ingest(entry(150.0))  # crosses into window 1
+        collector.ingest_block(event(150.0))  # crosses into window 1
         done = collector.completed_windows()
         assert len(done) == 1
         assert done[0].start == 0.0 and done[0].end == 100.0
@@ -29,8 +35,8 @@ class TestWindowing:
 
     def test_flush_closes_open_windows(self):
         collector = StreamingCollector(window_seconds=100.0)
-        collector.ingest(entry(10.0))
-        collector.ingest(entry(110.0))
+        collector.ingest_block(event(10.0))
+        collector.ingest_block(event(110.0))
         done = collector.flush()
         assert len(done) == 2
         assert collector.pending_windows == 0
@@ -40,13 +46,13 @@ class TestWindowing:
         collector = StreamingCollector(
             window_seconds=50.0, reorder_slack=0.0, on_window=seen.append
         )
-        collector.ingest(entry(0.0))
-        collector.ingest(entry(60.0))
+        collector.ingest_block(event(0.0))
+        collector.ingest_block(event(60.0))
         assert len(seen) == 1
 
     def test_window_alignment_with_origin(self):
         collector = StreamingCollector(window_seconds=100.0, origin=1000.0)
-        collector.ingest(entry(1010.0))
+        collector.ingest_block(event(1010.0))
         window = collector.flush()[0]
         assert window.start == 1000.0 and window.end == 1100.0
 
@@ -60,49 +66,48 @@ class TestWindowing:
 class TestDedupAndLateness:
     def test_online_dedup(self):
         collector = StreamingCollector(window_seconds=1000.0)
-        collector.ingest(entry(0.0))
-        collector.ingest(entry(10.0))
-        collector.ingest(entry(40.0))
+        collector.ingest_block(event(0.0))
+        collector.ingest_block(event(10.0))
+        collector.ingest_block(event(40.0))
         assert collector.stats.deduplicated == 1
         window = collector.flush()[0]
         assert window.observations[2].query_count == 2
 
     def test_strictly_late_entries_dropped(self):
         collector = StreamingCollector(window_seconds=1000.0, reorder_slack=2.0)
-        collector.ingest(entry(100.0))
-        collector.ingest(entry(50.0))  # 50s late, slack is 2s
+        collector.ingest_block(event(100.0))
+        collector.ingest_block(event(50.0))  # 50s late, slack is 2s
         assert collector.stats.late_dropped == 1
 
     def test_slightly_reordered_accepted(self):
         collector = StreamingCollector(window_seconds=1000.0, reorder_slack=5.0)
-        collector.ingest(entry(100.0, querier=1))
-        collector.ingest(entry(97.0, querier=2))
+        collector.ingest_block(event(100.0, querier=1))
+        collector.ingest_block(event(97.0, querier=2))
         assert collector.stats.late_dropped == 0
         window = collector.flush()[0]
         assert window.observations[2].footprint == 2
 
     def test_pre_origin_entries_dropped(self):
         collector = StreamingCollector(window_seconds=100.0, origin=1000.0)
-        collector.ingest(entry(500.0))
+        collector.ingest_block(event(500.0))
         assert collector.stats.late_dropped == 1
         assert collector.pending_windows == 0
 
     def test_emitted_windows_never_mutated(self):
         collector = StreamingCollector(window_seconds=100.0, reorder_slack=2.0)
-        collector.ingest(entry(10.0))
-        collector.ingest(entry(200.0))
+        collector.ingest_block(event(10.0))
+        collector.ingest_block(event(200.0))
         first = collector.completed_windows()[0]
         count_before = first.observations[2].query_count
         # This entry belongs to the emitted window but is beyond slack.
-        collector.ingest(entry(20.0, querier=9))
+        collector.ingest_block(event(20.0, querier=9))
         assert first.observations[2].query_count == count_before
         assert collector.stats.late_dropped == 1
 
     def test_dedup_state_pruned(self):
         collector = StreamingCollector(window_seconds=50.0, reorder_slack=0.0)
-        collector.ingest_many(
-            entry(float(i), querier=i, originator=i) for i in range(5000)
-        )
+        ids = np.arange(5000)
+        collector.ingest_block(EntryBlock.from_arrays(ids.astype(float), ids, ids))
         assert collector.dedup_state_size < 5000
 
     def test_dedup_state_bounded_on_block_fed_long_stream(self):
@@ -149,7 +154,7 @@ class TestDedupAndLateness:
 
     def test_advance_watermark_closes_windows_without_input(self):
         collector = StreamingCollector(window_seconds=100.0, reorder_slack=0.0)
-        collector.ingest(entry(10.0))
+        collector.ingest_block(event(10.0))
         assert collector.completed_windows() == []
         collector.advance_watermark(250.0)
         done = collector.completed_windows()
@@ -157,7 +162,7 @@ class TestDedupAndLateness:
         assert (done[0].start, done[0].end) == (0.0, 100.0)
         # The high water only moves forward; an entry below it is late.
         collector.advance_watermark(50.0)
-        collector.ingest(entry(60.0))
+        collector.ingest_block(event(60.0))
         assert collector.stats.late_dropped == 1
 
 
@@ -176,15 +181,15 @@ class TestBatchEquivalence:
     def test_matches_batch_collection(self, raw):
         entries = [entry(t, q, o) for t, q, o in sorted(raw, key=lambda r: r[0])]
         collector = StreamingCollector(window_seconds=250.0, reorder_slack=0.0)
-        collector.ingest_many(entries)
+        collector.ingest_block(EntryBlock.from_entries(entries))
         streamed = {
             (w.start, w.end): w for w in collector.flush() if len(w)
         }
-        # Canonical semantics: each streamed window equals collect_window
-        # run on that window's boundaries (dedup state is scoped to the
-        # observation window — see sensor/streaming.py).
+        # Canonical semantics: each streamed window equals the batch
+        # one-window collect on that window's boundaries (dedup state is
+        # scoped to the observation window — see sensor/streaming.py).
         for (start, end), window in streamed.items():
-            batch = collect_window(entries, start, end)
+            batch = SensorEngine().collect(entries, start, end)
             assert set(window.observations) == set(batch.observations)
             for originator, observation in window.observations.items():
                 expected = batch.observations[originator]

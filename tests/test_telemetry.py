@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.dnssim.message import QueryLogEntry
+from repro.logstore import EntryBlock
 from repro.netmodel.world import NameStatus
 from repro.sensor.directory import QuerierInfo, StaticDirectory
 from repro.sensor.engine import SensorConfig, SensorEngine
@@ -427,7 +428,7 @@ class TestEngineEmission:
             QueryLogEntry(timestamp=float(ts), querier=1, originator=2)
             for ts in (0.0, 5.0, 4.5, 25.0, 1.0)  # 4.5 reordered, 1.0 late
         ]
-        engine.ingest_many(entries)
+        engine.ingest_block(EntryBlock.from_entries(entries))
         engine.finish()
         engine.accounting()
         text = registry.to_prometheus()
