@@ -77,7 +77,6 @@ from repro.sensor import (
 from repro.netmodel import World, WorldConfig
 from repro.telemetry import (
     MetricsRegistry,
-    install,
     span,
     use_registry,
     write_metrics,
@@ -112,7 +111,6 @@ __all__ = [
     "World",
     "WorldConfig",
     "MetricsRegistry",
-    "install",
     "span",
     "use_registry",
     "write_metrics",

@@ -28,7 +28,6 @@ from repro.activity.base import (
 )
 from repro.activity.classes import (
     APPLICATION_CLASSES,
-    MALICIOUS_CLASSES,
     PROFILES,
     SCAN_VARIANTS,
     TemporalMode,

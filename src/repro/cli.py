@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -514,18 +513,16 @@ def _cmd_figures(args: argparse.Namespace) -> int:
 def _cmd_experiments(args: argparse.Namespace) -> int:
     from repro.experiments.__main__ import main as experiments_main
 
-    # The harness has its own argv; the snapshot path travels as the
-    # environment variables it reads.
-    if args.metrics_out:
-        os.environ["REPRO_METRICS_OUT"] = args.metrics_out
-        if args.metrics_format:
-            os.environ["REPRO_METRICS_FORMAT"] = args.metrics_format
     forwarded = list(args.names)
     if args.list:
         forwarded.append("--list")
     if args.all_cheap:
         forwarded.append("--all-cheap")
-    return experiments_main(forwarded)
+    registry = _registry_for(args)
+    code = experiments_main(forwarded, registry=registry)
+    if code == 0:
+        _write_snapshot(args, registry)
+    return code
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -6,26 +6,25 @@ Usage::
     python -m repro.experiments table3 fig4
     python -m repro.experiments --all-cheap
 
-Each experiment prints the paper-style table.  The longitudinal
-experiments (figs 5-8, 11-15, tables V/VI on M-sampled) regenerate
-month-scale datasets and take minutes on first use; they share cached
-artifacts within one process, so batching them in a single invocation
-is much cheaper than separate runs.
+Each experiment prints the paper-style table.  ``--list`` marks each
+``(fast)`` or ``(slow)``; ``--all-cheap`` runs the fast ones.  The slow
+ones regenerate month-scale datasets (figs 5-8, 11-15) or every Table I
+dataset at full size (table1) and take many minutes on first use; they
+share cached artifacts within one process, so batching them in a single
+invocation is much cheaper than separate runs.
 
-Setting ``REPRO_METRICS_OUT=PATH`` (optionally with
-``REPRO_METRICS_FORMAT=prom|jsonl``) installs a metrics registry over
-the whole invocation and writes a snapshot when it finishes — the
-opt-in the ``repro experiments --metrics-out`` flag maps onto.
+``repro experiments --metrics-out PATH`` passes :func:`main` a
+:class:`~repro.telemetry.MetricsRegistry`, scoped over every runner,
+and writes it when they finish.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 
-from repro.telemetry import MetricsRegistry, use_registry, write_metrics
+from repro.telemetry import MetricsRegistry, use_registry
 
 from repro.experiments import (
     case_studies,
@@ -52,7 +51,8 @@ from repro.experiments import (
 
 #: name -> (callable producing printable text, cheap?)
 _RUNNERS = {
-    "table1": (lambda: table1_datasets.format_table(table1_datasets.run()), True),
+    # Generates every Table I dataset at full size: tens of minutes, ~2 GB.
+    "table1": (lambda: table1_datasets.format_table(table1_datasets.run()), False),
     "fig3": (lambda: case_studies.format_static(case_studies.run()), True),
     "table2": (lambda: case_studies.format_dynamic(case_studies.run()), True),
     "table3": (
@@ -92,7 +92,11 @@ _RUNNERS = {
 }
 
 
-def main(argv: list[str] | None = None) -> int:
+def main(
+    argv: list[str] | None = None, registry: MetricsRegistry | None = None
+) -> int:
+    """Run the named experiments; *registry*, if given, is in scope for
+    every runner (the caller writes it)."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
         description="Regenerate tables/figures from the DNS-backscatter paper.",
@@ -102,12 +106,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--all-cheap",
         action="store_true",
-        help="run every experiment that does not need month-scale datasets",
+        help="run every experiment --list marks (fast)",
     )
     args = parser.parse_args(argv)
     if args.list:
         for name, (_, cheap) in _RUNNERS.items():
-            print(f"{name:<10} {'(fast)' if cheap else '(minutes: longitudinal)'}")
+            print(f"{name:<10} {'(fast)' if cheap else '(slow)'}")
         return 0
     names = list(args.names)
     if args.all_cheap:
@@ -119,8 +123,6 @@ def main(argv: list[str] | None = None) -> int:
     if unknown:
         print(f"unknown experiments: {', '.join(unknown)}", file=sys.stderr)
         return 2
-    metrics_out = os.environ.get("REPRO_METRICS_OUT")
-    registry = MetricsRegistry() if metrics_out else None
     with use_registry(registry):
         for name in names:
             runner, _ = _RUNNERS[name]
@@ -128,10 +130,6 @@ def main(argv: list[str] | None = None) -> int:
             print(f"=== {name} " + "=" * max(0, 60 - len(name)))
             print(runner())
             print(f"--- {name} done in {time.time() - started:.1f}s\n")
-    if registry is not None and metrics_out:
-        fmt = os.environ.get("REPRO_METRICS_FORMAT") or None
-        path = write_metrics(registry, metrics_out, fmt)
-        print(f"wrote metrics to {path}")
     return 0
 
 

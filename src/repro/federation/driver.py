@@ -19,7 +19,7 @@ the seeded majority vote.  So :class:`FederatedSensor` *is* a
   order, so the normalizers are window-global exactly as in one engine.
 
 Ingest accounting, ``poll``/``finish``/``process``, window hooks,
-per-window telemetry, the classify stage (run once, in this process,
+the classify stage (run once, in this process,
 over the merged rows) and the accounting report are the base class's.
 Rows, verdicts and stage stats are **bit-identical** to a single engine
 over the unpartitioned input (property-tested; the one documented
@@ -150,6 +150,10 @@ class ShardedCollector:
             self._shard_dropped[shard] = dropped
             _observe_shard(shard, op, elapsed, events[shard])
             for summary in summaries:
+                # Counted when the shards close it (they close in
+                # lockstep), as a single collector counts at close.
+                if summary.index not in self._closed:
+                    self._windows_emitted += 1
                 self._closed.setdefault(summary.index, []).append((shard, summary))
 
     def completed_windows(self) -> list[ShardedWindow]:
@@ -164,7 +168,6 @@ class ShardedCollector:
                     index, first.start, first.end, parts, self._ranks.pop(index, {})
                 )
             )
-        self._windows_emitted += len(out)
         return out
 
     def flush(self) -> list[ShardedWindow]:
@@ -276,7 +279,6 @@ class FederatedSensor(SensorEngine):
                 "ingest",
                 items_in=offered,
                 items_out=len(sub),
-                dropped=offered - len(sub),
                 seconds=ingest_span.elapsed,
             )
             with span("stage.window") as window_span:
@@ -320,12 +322,15 @@ class FederatedSensor(SensorEngine):
             ]
             shard_rows = [future.result() for future in futures]
             for rows in shard_rows:
-                self._record_select(rows.select_in, rows.select_out)
+                self._record_stage(
+                    "select",
+                    items_in=rows.select_in,
+                    items_out=rows.select_out,
+                )
                 self._record_stage(
                     "featurize",
                     items_in=rows.select_out,
                     items_out=rows.rows,
-                    dropped=rows.select_out - rows.rows,
                     seconds=rows.seconds,
                 )
                 if get_registry() is not None:

@@ -126,7 +126,7 @@ class EnrichmentCache:
     passed anywhere a directory is expected.
     """
 
-    #: Telemetry counter names (emitted when a registry is installed).
+    #: Telemetry counter names (emitted when a registry is in scope).
     _HITS = "repro_enrichment_cache_hits_total"
     _MISSES = "repro_enrichment_cache_misses_total"
     _BUILT = "repro_enrichment_cache_built_total"
@@ -134,7 +134,7 @@ class EnrichmentCache:
     def __init__(self, directory: QuerierDirectory) -> None:
         self._directory = directory
         # Lookup accounting (always-on plain ints; mirrored to the
-        # ambient metrics registry when one is installed).
+        # ambient metrics registry when one is in scope).
         self.hits = 0
         self.misses = 0
         self.built = 0

@@ -26,18 +26,22 @@ classify   § III-D/E — majority-vote classification with the configured
 ========== ============================================================
 
 Every stage records :class:`StageStats` (items in/out, dropped, wall
-time), so an engine run can report exactly where volume and time went —
-the baseline that later sharding/batching/caching PRs measure against.
-All stage timing flows through :mod:`repro.telemetry` spans: each
-stage's wall time is measured exactly once (feeding entries is *ingest*
-time, closing/assembling windows is *window* time, and so on), so the
-per-stage seconds sum to approximately the run's wall time.  When a
-:class:`~repro.telemetry.MetricsRegistry` is installed — passed to the
-engine or ambient via :func:`repro.telemetry.install` — the same spans
-also emit ``repro_stage_seconds`` histograms, ``repro_stage_items_total``
-counters, per-window ``repro_window_seconds`` timings, and the
-streaming-collector drop/reorder counters; with none installed the
-instrumentation is a near-no-op.
+time), so an engine run can report exactly where volume and time went.
+Each fact is recorded once, when it happens.  A duration lives in its
+:mod:`repro.telemetry` span: each stage's wall time is measured exactly
+once (feeding entries is *ingest* time, closing/assembling windows is
+*window* time, and so on), so the per-stage seconds sum to
+approximately the run's wall time, and with a
+:class:`~repro.telemetry.MetricsRegistry` in scope (passed to the
+engine, or ambient via :func:`repro.telemetry.use_registry`) every span
+lands in ``repro_span_seconds`` / ``repro_span_total``
+(``stage.*``, ``window.sense``).  A stage count lives in
+:class:`StageStats` and is mirrored to ``repro_stage_items_total`` as it
+changes — the streaming collector's counts included, folded in after
+every live block and at the end-of-stream flush, so the ledger a
+running service exposes is current.  A window's sketch counters live on
+``window.prestage``.  With no registry in scope the instrumentation is a
+near-no-op.
 
 Configuration that used to be scattered across call sites (window
 length, dedup horizon, reorder slack, analyzability threshold, majority
@@ -74,7 +78,6 @@ from repro.telemetry import (
     MetricsRegistry,
     count,
     get_registry,
-    observe,
     set_gauge,
     span,
     use_registry,
@@ -222,18 +225,14 @@ class SensedWindow:
     :class:`repro.federation.ShardedWindow` (same ``start`` / ``end`` /
     ``len``, the observations stay in the shards)."""
     features: FeatureSet | None = None
+    """Feature rows of the analyzable originators (``None`` when the
+    engine has no directory to featurize with)."""
     verdicts: list[ClassifiedOriginator] = field(default_factory=list)
-    telemetry: dict[str, object] | None = None
-    """Per-window observability snapshot, attached by the engine.
+    """Classify-stage verdicts (empty when the engine did not classify).
 
-    Keys: ``window_start`` / ``window_end``, per-stage counts
-    (``originators``, ``selected``, ``featurized``, ``verdicts``) and a
-    ``seconds`` dict with this window's select/featurize/classify wall
-    times plus ``total``; with a pre-stage, a ``sketch`` dict of its
-    counters (``gate_kept`` / ``gate_dropped`` on batch windows only).
-    Always populated (it reads span wall times,
-    which are measured whether or not a metrics registry is installed).
-    """
+    A window carries no telemetry of its own: its counts are in the
+    engine's :class:`StageStats`, its wall time in the ``window.sense``
+    span, and its sketch counters on ``window.prestage``."""
 
     @property
     def classification(self) -> dict[int, str]:
@@ -340,14 +339,19 @@ class SensorEngine:
         name: str,
         items_in: int = 0,
         items_out: int = 0,
-        dropped: int = 0,
+        dropped: int | None = None,
         seconds: float = 0.0,
     ) -> None:
         """Fold one unit of stage work into StageStats + metrics.
 
-        StageStats always updates; the metric emissions no-op unless a
-        registry is in scope.
+        StageStats always updates; ``repro_stage_items_total`` mirrors
+        the counts when a registry is in scope.  The seconds are the
+        span's, already recorded by the span itself.  *dropped* defaults
+        to ``items_in - items_out``; only the window stage, whose outputs
+        are windows, not items, says otherwise.
         """
+        if dropped is None:
+            dropped = items_in - items_out
         stage = self.stats[name]
         stage.items_in += items_in
         stage.items_out += items_out
@@ -362,25 +366,6 @@ class SensorEngine:
               help=help_items, stage=name, direction="out")
         count("repro_stage_items_total", dropped,
               help=help_items, stage=name, direction="dropped")
-        if seconds > 0.0:
-            observe("repro_stage_seconds", seconds,
-                    help="Wall time per unit of stage work.", stage=name)
-
-    def _record_select(self, items_in: int, kept: int, seconds: float = 0.0) -> None:
-        """One select-stage pass: the stage ledger plus its outcome counter."""
-        self._record_stage(
-            "select",
-            items_in=items_in,
-            items_out=kept,
-            dropped=items_in - kept,
-            seconds=seconds,
-        )
-        if get_registry() is not None:
-            help_select = "Originators through the select stage, by outcome."
-            count("repro_select_originators_total", kept,
-                  help=help_select, result="kept")
-            count("repro_select_originators_total", items_in - kept,
-                  help=help_select, result="dropped")
 
     def _emit_sketch_metrics(self, prestage) -> None:
         """Publish one window's pre-stage counters (registry in scope).
@@ -448,6 +433,7 @@ class SensorEngine:
             with span("stage.ingest") as sp:
                 self.collector.ingest_block(block)
             self.stats["ingest"].seconds += sp.elapsed
+            self._absorb_collector_stats()
             self._emit_block_metrics(block, path="stream")
 
     def _emit_block_metrics(self, block: EntryBlock, path: str) -> None:
@@ -493,15 +479,23 @@ class SensorEngine:
             with span("stage.window") as sp:
                 flushed = self.collector.flush()
             self.stats["window"].seconds += sp.elapsed
+            self._absorb_collector_stats()
             sensed = [self._sense(window, classify) for window in flushed]
             for item in sensed:
                 self._notify_window(item)
             return sensed
 
     def _absorb_collector_stats(self) -> None:
-        """Fold collector counters into the ingest/window stage stats."""
-        current = self.collector.stats if self._collector is not None else None
-        if current is None:
+        """Fold the collector's new counts into the ingest/window ledger.
+
+        Called where those counts change — after every live block and
+        after the end-of-stream flush (a collector counts a window when
+        it closes it) — so :attr:`stats` and the ``repro_stage_items_total``
+        / ``repro_stream_*_total`` series a running service exposes are
+        current, not folded in only when :meth:`accounting` is read.
+        """
+        current = self.collector.stats
+        if current == self._absorbed:
             return
         delta = StreamingStats(
             ingested=current.ingested - self._absorbed.ingested,
@@ -512,12 +506,7 @@ class SensorEngine:
         )
         self._absorbed = replace(current)
         accepted = delta.ingested - delta.late_dropped
-        self._record_stage(
-            "ingest",
-            items_in=delta.ingested,
-            items_out=accepted,
-            dropped=delta.late_dropped,
-        )
+        self._record_stage("ingest", items_in=delta.ingested, items_out=accepted)
         self._record_stage(
             "window",
             items_in=accepted,
@@ -647,7 +636,6 @@ class SensorEngine:
                 "ingest",
                 items_in=offered,
                 items_out=accepted,
-                dropped=offered - accepted,
                 seconds=ingest_span.elapsed,
             )
             if sketch:
@@ -735,7 +723,12 @@ class SensorEngine:
             # sketch summarized, not just the gate survivors the window
             # materialized — account for the approximately-gated ones too.
             items_in = len(window) if prestage is None else prestage.originators_seen
-            self._record_select(items_in, len(selected), select_span.elapsed)
+            self._record_stage(
+                "select",
+                items_in=items_in,
+                items_out=len(selected),
+                seconds=select_span.elapsed,
+            )
             if prestage is not None and get_registry() is not None:
                 self._emit_sketch_metrics(prestage)
             with span("stage.featurize") as featurize_span:
@@ -744,7 +737,6 @@ class SensorEngine:
                 "featurize",
                 items_in=len(selected),
                 items_out=len(features),
-                dropped=len(selected) - len(features),
                 seconds=featurize_span.elapsed,
             )
         return features
@@ -869,52 +861,11 @@ class SensorEngine:
     ) -> SensedWindow:
         run_classify = self.is_fitted if classify is None else classify
         sensed = SensedWindow(window=window)
-        with self._scope():
-            before = {
-                name: self.stats[name].seconds
-                for name in ("select", "featurize", "classify")
-            }
-            selected_before = self.stats["select"].items_out
-            with span("window.sense") as sp:
-                if self.directory is not None:
-                    sensed.features = self.featurize(window)
-                    if run_classify:
-                        sensed.verdicts = self.classify(sensed.features)
-            seconds = {
-                name: self.stats[name].seconds - before[name] for name in before
-            }
-            seconds["total"] = sp.elapsed
-            sensed.telemetry = {
-                "window_start": window.start,
-                "window_end": window.end,
-                "originators": len(window),
-                "selected": self.stats["select"].items_out - selected_before,
-                "featurized": (
-                    len(sensed.features) if sensed.features is not None else 0
-                ),
-                "verdicts": len(sensed.verdicts),
-                "seconds": seconds,
-            }
-            if window.prestage is not None:
-                prestage = window.prestage
-                sketch = sensed.telemetry["sketch"] = {
-                    "originators_seen": prestage.originators_seen,
-                    "events_unique": prestage.events_unique,
-                    "events_duplicate": prestage.events_duplicate,
-                    "events_deferred": prestage.events_deferred,
-                    "resolver_wholesale": prestage.resolver_wholesale,
-                    "resolver_replayed": prestage.resolver_replayed,
-                    "memory_bytes": prestage.memory_bytes(),
-                }
-                if prestage.exact_observations:
-                    # Batch windows only (see _emit_sketch_metrics).
-                    sketch["gate_kept"] = prestage.gate_kept
-                    sketch["gate_dropped"] = prestage.gate_dropped
-            if get_registry() is not None:
-                observe("repro_window_seconds", sp.elapsed,
-                        help="Wall time to sense one observation window.")
-                count("repro_windows_sensed_total", 1,
-                      help="Observation windows run through select/featurize.")
+        with self._scope(), span("window.sense"):
+            if self.directory is not None:
+                sensed.features = self.featurize(window)
+                if run_classify:
+                    sensed.verdicts = self.classify(sensed.features)
         return sensed
 
     def process(
@@ -940,8 +891,6 @@ class SensorEngine:
 
     def accounting(self) -> list[StageStats]:
         """Per-stage stats for everything this engine has processed."""
-        with self._scope():
-            self._absorb_collector_stats()
         return [self.stats[name] for name in STAGE_NAMES]
 
     def format_accounting(self) -> str:

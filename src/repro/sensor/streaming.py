@@ -76,9 +76,10 @@ class StreamingStats:
     timestamp but within ``reorder_slack`` — accepted disorder, the
     reorder buffer's workload.  ``late_dropped`` counts entries beyond
     the slack (or below the origin, or with a non-finite timestamp),
-    which are dropped.  The engine publishes both (plus dedup and window
-    counts) as telemetry counters when a metrics registry is installed
-    (``repro_stream_*_total``).
+    which are dropped.  ``windows_emitted`` counts a window when the
+    collector closes it.  The engine folds every count into its stage
+    ledger after each block it feeds and publishes them
+    (``repro_stream_*_total``) when a metrics registry is in scope.
     """
 
     ingested: int = 0

@@ -8,26 +8,30 @@ a cache went cold, or a stage silently dropped input.  This package is
 that observability layer, dependency-free:
 
 * :class:`MetricsRegistry` with :class:`Counter` / :class:`Gauge` /
-  :class:`Histogram` instruments, labeled per stage, with dict,
-  Prometheus-text, and JSON-lines export (:func:`write_metrics`);
+  :class:`Histogram` instruments, labeled per stage, with
+  Prometheus-text and JSON-lines export (:func:`write_metrics`);
 * :class:`span` context-manager tracing that nests (engine run → window
   → stage → enrichment/classify), records wall time and outcome, and
-  degrades to a near-no-op when no registry is installed;
-* an *ambient* registry (:func:`install` / :func:`use_registry`) so the
-  instrumented hot paths — the engine stages, the enrichment cache, the
-  featurize worker fan-out, the streaming collector — need no new
-  parameters to report.
+  degrades to a near-no-op when no registry is in scope;
+* an *ambient* registry (:func:`use_registry`, per thread) so the
+  instrumented hot paths — the enrichment cache, the featurize fan-out,
+  the classifier — need no new parameters to report.
+
+Each fact is recorded once, where it happens: a duration in its span
+(``repro_span_seconds`` / ``repro_span_total``), a stage count in the
+engine's :class:`~repro.sensor.engine.StageStats`, mirrored to
+``repro_stage_items_total`` as it changes.
 
 Enabling telemetry::
 
-    from repro.telemetry import MetricsRegistry, install, write_metrics
+    from repro.telemetry import MetricsRegistry, write_metrics
 
     registry = MetricsRegistry()
-    install(registry)                  # or: SensorEngine(..., registry=...)
+    engine = SensorEngine(directory, registry=registry)  # or: with use_registry(registry):
     engine.process(entries, 0.0, end)
     write_metrics(registry, "metrics.prom")
 
-With no registry installed every instrumentation point is a cheap
+With no registry in scope every instrumentation point is a cheap
 no-op; the engine's :class:`~repro.sensor.engine.StageStats` accounting
 keeps working either way (it reads span wall times directly).
 """
@@ -44,7 +48,6 @@ from repro.telemetry.spans import (
     count,
     current_span_path,
     get_registry,
-    install,
     observe,
     set_gauge,
     span,
@@ -63,7 +66,6 @@ __all__ = [
     "count",
     "current_span_path",
     "get_registry",
-    "install",
     "observe",
     "set_gauge",
     "span",

@@ -1,7 +1,7 @@
 """Writing metric snapshots to disk (Prometheus text or JSON lines).
 
-One function, used by the CLI (``repro classify --metrics-out``), the
-experiment harness (``REPRO_METRICS_OUT``), and the benchmark: render
+One function, used by the CLI (``--metrics-out`` on ``classify``,
+``serve``, ``figures`` and ``experiments``) and the benchmark: render
 the registry in the requested format and write it.  Prometheus text is
 a point-in-time exposition, so it always overwrites; JSON lines append
 by default, so periodic streaming snapshots concatenate into one

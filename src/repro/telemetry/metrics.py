@@ -14,13 +14,14 @@ Python state:
   (stage wall times, per-chunk featurize times).
 
 Instruments are *labeled*: one instrument family (say
-``repro_stage_seconds``) holds an independent series per label
-combination (``stage="featurize"``), matching the Prometheus data
-model.  A :class:`MetricsRegistry` owns the families and renders them
-three ways — :meth:`~MetricsRegistry.snapshot` (plain dict, for tests
-and ``SensedWindow.telemetry``), :meth:`~MetricsRegistry.to_prometheus`
-(text exposition format), and :meth:`~MetricsRegistry.to_jsonl` (one
-JSON object per series, for appending periodic snapshots).
+``repro_stage_items_total``) holds an independent series per label
+combination (``stage="featurize", direction="in"``), matching the
+Prometheus data model.  A :class:`MetricsRegistry` owns the families and
+renders them two ways from one walk over the series —
+:meth:`~MetricsRegistry.to_prometheus` (text exposition format) and
+:meth:`~MetricsRegistry.to_jsonl` (one JSON object per series, for
+appending periodic snapshots).  One series reads back through
+``registry.get(name).value(...)`` / ``.count()`` / ``.sum()``.
 
 Everything is intentionally allocation-light: label series are dict
 entries keyed by value tuples, and the hot-path operations (``inc``,
@@ -78,21 +79,20 @@ class _Instrument:
     def _key(self, labels: Mapping[str, object]) -> tuple[str, ...]:
         return _label_key(self.label_names, labels)
 
-    def series(self) -> Iterator[tuple[tuple[str, ...], object]]:  # pragma: no cover
-        raise NotImplementedError
+    def records(self) -> Iterator[tuple[tuple[str, ...], dict[str, object]]]:
+        """``(label values, sample fields)`` per series, sorted by labels."""
+        raise NotImplementedError  # pragma: no cover
 
 
-class Counter(_Instrument):
-    """A monotonically increasing total, one series per label combination."""
-
-    kind = "counter"
+class _Scalar(_Instrument):
+    """One number per label combination (counters and gauges)."""
 
     def __init__(self, name: str, help: str = "", labels: tuple[str, ...] = ()) -> None:
         super().__init__(name, help, labels)
         self._values: dict[tuple[str, ...], float] = {}
 
     def inc(self, amount: float = 1.0, **labels: object) -> None:
-        if amount < 0:
+        if amount < 0 and self.kind == "counter":
             raise ValueError("counters only go up")
         key = self._key(labels)
         self._values[key] = self._values.get(key, 0.0) + amount
@@ -100,34 +100,27 @@ class Counter(_Instrument):
     def value(self, **labels: object) -> float:
         return self._values.get(self._key(labels), 0.0)
 
-    def series(self) -> Iterator[tuple[tuple[str, ...], float]]:
-        return iter(sorted(self._values.items()))
+    def records(self) -> Iterator[tuple[tuple[str, ...], dict[str, object]]]:
+        for key, value in sorted(self._values.items()):
+            yield key, {"value": value}
 
 
-class Gauge(_Instrument):
+class Counter(_Scalar):
+    """A monotonically increasing total, one series per label combination."""
+
+    kind = "counter"
+
+
+class Gauge(_Scalar):
     """A last-written value (may go up or down)."""
 
     kind = "gauge"
 
-    def __init__(self, name: str, help: str = "", labels: tuple[str, ...] = ()) -> None:
-        super().__init__(name, help, labels)
-        self._values: dict[tuple[str, ...], float] = {}
-
     def set(self, value: float, **labels: object) -> None:
         self._values[self._key(labels)] = float(value)
 
-    def inc(self, amount: float = 1.0, **labels: object) -> None:
-        key = self._key(labels)
-        self._values[key] = self._values.get(key, 0.0) + amount
-
     def dec(self, amount: float = 1.0, **labels: object) -> None:
         self.inc(-amount, **labels)
-
-    def value(self, **labels: object) -> float:
-        return self._values.get(self._key(labels), 0.0)
-
-    def series(self) -> Iterator[tuple[tuple[str, ...], float]]:
-        return iter(sorted(self._values.items()))
 
 
 class _HistogramSeries:
@@ -178,21 +171,16 @@ class Histogram(_Instrument):
         series = self._series.get(self._key(labels))
         return series.sum if series is not None else 0.0
 
-    def cumulative_buckets(self, **labels: object) -> list[tuple[float, int]]:
-        """(upper bound, cumulative count) pairs, ending with (+Inf, count)."""
-        series = self._series.get(self._key(labels))
-        if series is None:
-            return [(b, 0) for b in self.buckets] + [(math.inf, 0)]
-        out: list[tuple[float, int]] = []
-        running = 0
-        for bound, raw in zip(self.buckets, series.bucket_counts):
-            running += raw
-            out.append((bound, running))
-        out.append((math.inf, series.count))
-        return out
-
-    def series(self) -> Iterator[tuple[tuple[str, ...], _HistogramSeries]]:
-        return iter(sorted(self._series.items(), key=lambda kv: kv[0]))
+    def records(self) -> Iterator[tuple[tuple[str, ...], dict[str, object]]]:
+        """Cumulative buckets keyed by their ``le`` text, ending ``+Inf``."""
+        for key, series in sorted(self._series.items(), key=lambda kv: kv[0]):
+            running = 0
+            buckets: dict[str, int] = {}
+            for bound, raw in zip(self.buckets, series.bucket_counts):
+                running += raw
+                buckets[_format_value(bound)] = running
+            buckets["+Inf"] = series.count
+            yield key, {"sum": series.sum, "count": series.count, "buckets": buckets}
 
 
 def _format_value(value: float) -> str:
@@ -290,47 +278,6 @@ class MetricsRegistry:
 
     # -- export ---------------------------------------------------------
 
-    def snapshot(self) -> dict[str, dict]:
-        """Every family and series as plain dicts (stable ordering).
-
-        Label keys are rendered ``name=value`` joined with commas (empty
-        string for the unlabeled series), so snapshots are JSON-ready.
-        """
-        out: dict[str, dict] = {}
-        for name in self.names():
-            instrument = self._instruments[name]
-            family: dict[str, object] = {
-                "kind": instrument.kind,
-                "help": instrument.help,
-                "label_names": list(instrument.label_names),
-            }
-            series: dict[str, object] = {}
-            if isinstance(instrument, Histogram):
-                for key, hist_series in instrument.series():
-                    label_str = ",".join(
-                        f"{n}={v}" for n, v in zip(instrument.label_names, key)
-                    )
-                    running = 0
-                    buckets = {}
-                    for bound, raw in zip(instrument.buckets, hist_series.bucket_counts):
-                        running += raw
-                        buckets[_format_value(bound)] = running
-                    buckets["+Inf"] = hist_series.count
-                    series[label_str] = {
-                        "sum": hist_series.sum,
-                        "count": hist_series.count,
-                        "buckets": buckets,
-                    }
-            else:
-                for key, value in instrument.series():  # type: ignore[assignment]
-                    label_str = ",".join(
-                        f"{n}={v}" for n, v in zip(instrument.label_names, key)
-                    )
-                    series[label_str] = value
-            family["series"] = series
-            out[name] = family
-        return out
-
     def to_prometheus(self) -> str:
         """The registry in Prometheus text exposition format (v0.0.4)."""
         lines: list[str] = []
@@ -339,27 +286,18 @@ class MetricsRegistry:
             if instrument.help:
                 lines.append(f"# HELP {name} {instrument.help}")
             lines.append(f"# TYPE {name} {instrument.kind}")
-            if isinstance(instrument, Histogram):
-                for key, series in instrument.series():
-                    running = 0
-                    for bound, raw in zip(instrument.buckets, series.bucket_counts):
-                        running += raw
-                        labels = _render_labels(
-                            instrument.label_names, key,
-                            extra=(("le", _format_value(bound)),),
-                        )
-                        lines.append(f"{name}_bucket{labels} {running}")
+            for key, record in instrument.records():
+                plain = _render_labels(instrument.label_names, key)
+                if "buckets" not in record:
+                    lines.append(f"{name}{plain} {_format_value(record['value'])}")
+                    continue
+                for le, running in record["buckets"].items():
                     labels = _render_labels(
-                        instrument.label_names, key, extra=(("le", "+Inf"),)
+                        instrument.label_names, key, extra=(("le", le),)
                     )
-                    lines.append(f"{name}_bucket{labels} {series.count}")
-                    plain = _render_labels(instrument.label_names, key)
-                    lines.append(f"{name}_sum{plain} {_format_value(series.sum)}")
-                    lines.append(f"{name}_count{plain} {series.count}")
-            else:
-                for key, value in instrument.series():  # type: ignore[assignment]
-                    labels = _render_labels(instrument.label_names, key)
-                    lines.append(f"{name}{labels} {_format_value(value)}")
+                    lines.append(f"{name}_bucket{labels} {running}")
+                lines.append(f"{name}_sum{plain} {_format_value(record['sum'])}")
+                lines.append(f"{name}_count{plain} {record['count']}")
         return "\n".join(lines) + "\n" if lines else ""
 
     def to_jsonl(self) -> str:
@@ -367,33 +305,18 @@ class MetricsRegistry:
 
         Suited to periodic snapshot appends: each line carries the family
         name, kind, and labels, so consecutive snapshots concatenate into
-        a valid stream.
+        a valid stream.  A counter or gauge line has a ``value``; a
+        histogram line has ``sum``, ``count`` and cumulative ``buckets``
+        keyed by upper bound (``"+Inf"`` last).
         """
         lines: list[str] = []
         for name in self.names():
             instrument = self._instruments[name]
-            if isinstance(instrument, Histogram):
-                for key, series in instrument.series():
-                    running = 0
-                    buckets = {}
-                    for bound, raw in zip(instrument.buckets, series.bucket_counts):
-                        running += raw
-                        buckets[_format_value(bound)] = running
-                    buckets["+Inf"] = series.count
-                    lines.append(json.dumps({
-                        "name": name,
-                        "kind": instrument.kind,
-                        "labels": dict(zip(instrument.label_names, key)),
-                        "sum": series.sum,
-                        "count": series.count,
-                        "buckets": buckets,
-                    }, sort_keys=True))
-            else:
-                for key, value in instrument.series():  # type: ignore[assignment]
-                    lines.append(json.dumps({
-                        "name": name,
-                        "kind": instrument.kind,
-                        "labels": dict(zip(instrument.label_names, key)),
-                        "value": value,
-                    }, sort_keys=True))
+            for key, record in instrument.records():
+                lines.append(json.dumps({
+                    "name": name,
+                    "kind": instrument.kind,
+                    "labels": dict(zip(instrument.label_names, key)),
+                    **record,
+                }, sort_keys=True))
         return "\n".join(lines) + "\n" if lines else ""

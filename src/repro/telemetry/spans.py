@@ -1,7 +1,7 @@
 """Lightweight tracing spans over the ambient metrics registry.
 
 A :class:`span` is a context manager that measures wall time and — when
-a :class:`~repro.telemetry.metrics.MetricsRegistry` is installed —
+a :class:`~repro.telemetry.metrics.MetricsRegistry` is in scope —
 records it as a ``repro_span_seconds`` histogram observation plus a
 ``repro_span_total`` outcome counter.  Spans nest: the engine opens one
 per run, one per window, one per stage, and the enrichment/classify
@@ -9,17 +9,17 @@ internals open their own inside those; each span records its parent's
 name, so traces reconstruct the stage tree without unbounded label
 cardinality.
 
-With **no registry installed the span is a near-no-op**: two
+With **no registry in scope the span is a near-no-op**: two
 ``perf_counter`` calls and an attribute store.  The elapsed time is
 still measured and exposed as :attr:`span.elapsed`, because the
 engine's :class:`~repro.sensor.engine.StageStats` accounting reads it
 regardless of whether metrics are being collected — tracing degrades,
 accounting doesn't.
 
-The registry is *ambient*: :func:`install` sets a process-wide default,
-and :func:`use_registry` scopes one to a ``with`` block on the calling
-thread (the engine uses it to thread an explicitly-passed registry down
-through featurize and classify without widening every signature).  The
+The registry is *ambient*: :func:`use_registry` scopes one to a
+``with`` block on the calling thread (the engine uses it to thread an
+explicitly-passed registry down through featurize and classify without
+widening every signature).  There is no process-wide default.  The
 service runs its pump, its background model fit and its event loop on
 three threads, so the scope and the open-span stack are per thread: one
 thread entering or leaving a scope never changes what another records.
@@ -36,7 +36,6 @@ from repro.telemetry.metrics import MetricsRegistry
 
 __all__ = [
     "span",
-    "install",
     "get_registry",
     "use_registry",
     "current_span_path",
@@ -44,8 +43,6 @@ __all__ = [
     "set_gauge",
     "observe",
 ]
-
-_DEFAULT: MetricsRegistry | None = None
 
 
 class _ThreadState(threading.local):
@@ -59,22 +56,9 @@ class _ThreadState(threading.local):
 _LOCAL = _ThreadState()
 
 
-def install(registry: MetricsRegistry | None) -> MetricsRegistry | None:
-    """Set (or clear, with ``None``) the process-wide default registry.
-
-    Returns the previous default.  A thread inside a :func:`use_registry`
-    scope keeps seeing its scoped registry.
-    """
-    global _DEFAULT
-    previous = _DEFAULT
-    _DEFAULT = registry
-    return previous
-
-
 def get_registry() -> MetricsRegistry | None:
-    """The calling thread's ambient registry, or ``None`` when telemetry is off."""
-    scoped = _LOCAL.scoped
-    return _DEFAULT if scoped is None else scoped
+    """The calling thread's scoped registry, or ``None`` when telemetry is off."""
+    return _LOCAL.scoped
 
 
 @contextmanager
@@ -101,7 +85,7 @@ def current_span_path() -> str:
 
 
 class span:
-    """Measure one operation; record it if a registry is installed.
+    """Measure one operation; record it if a registry is in scope.
 
     Usage::
 

@@ -232,7 +232,6 @@ class TestMetricsSnapshots:
         assert f"wrote prom metrics to {out}" in capsys.readouterr().out
         text = out.read_text()
         for family in (
-            "repro_stage_seconds",
             "repro_stage_items_total",
             "repro_span_seconds",
             "repro_enrichment_cache_hits_total",
@@ -259,38 +258,48 @@ class TestMetricsSnapshots:
         lines = out.read_text().splitlines()
         assert len(lines) > 0
         names = set()
+        spans = set()
         for line in lines:
             obj = json.loads(line)
             names.add(obj["name"])
+            if obj["name"] == "repro_span_total":
+                spans.add(obj["labels"]["span"])
         assert "repro_stream_windows_total" in names
-        assert "repro_windows_sensed_total" in names
+        assert "window.sense" in spans
 
     def test_no_metrics_flag_writes_nothing(self, generated, tmp_path):
         code = main(self._classify_argv(generated))
         assert code == 0
         assert list(tmp_path.iterdir()) == []
 
-    def test_experiments_flags_travel_as_env(self, tmp_path, capsys):
-        saved = {
-            key: os.environ.pop(key, None)
-            for key in ("REPRO_METRICS_OUT", "REPRO_METRICS_FORMAT")
-        }
-        try:
-            out = tmp_path / "m.jsonl"
-            code = main([
-                "experiments", "--list",
-                "--metrics-out", str(out),
-                "--metrics-format", "jsonl",
-            ])
-            assert code == 0
-            assert os.environ["REPRO_METRICS_OUT"] == str(out)
-            assert os.environ["REPRO_METRICS_FORMAT"] == "jsonl"
-        finally:
-            for key, value in saved.items():
-                if value is None:
-                    os.environ.pop(key, None)
-                else:
-                    os.environ[key] = value
+    def test_experiments_metrics_out_hands_the_runner_a_registry(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from repro.experiments import __main__ as harness
+        from repro.telemetry import MetricsRegistry, count, get_registry
+
+        seen = []
+
+        def runner():
+            seen.append(get_registry())
+            count("stub_runs_total", 1)
+            return "stub table"
+
+        monkeypatch.setitem(harness._RUNNERS, "stub", (runner, True))
+        environ = dict(os.environ)
+        out = tmp_path / "m.jsonl"
+        code = main([
+            "experiments", "stub",
+            "--metrics-out", str(out),
+            "--metrics-format", "jsonl",
+        ])
+        assert code == 0
+        assert dict(os.environ) == environ
+        assert len(seen) == 1 and isinstance(seen[0], MetricsRegistry)
+        assert get_registry() is None
+        assert f"wrote jsonl metrics to {out}" in capsys.readouterr().out
+        (record,) = [json.loads(line) for line in out.read_text().splitlines()]
+        assert (record["name"], record["value"]) == ("stub_runs_total", 1)
 
 
 class TestSketchFlags:
@@ -463,7 +472,7 @@ class TestOneWayToGoParallel:
             env_names.update(re.findall(r"REPRO_[A-Z_]+", text))
             if "ProcessPoolExecutor" in text:
                 pool_sites.add(path.relative_to(self.SRC).as_posix())
-        assert env_names == {"REPRO_METRICS_OUT", "REPRO_METRICS_FORMAT"}
+        assert env_names == set()
         assert pool_sites == {"federation/shard.py"}
         for argv in self.SUBCOMMANDS.values():
             build_parser().parse_args(argv)

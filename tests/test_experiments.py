@@ -16,7 +16,36 @@ from repro.experiments import (
     fig9_footprints,
     table1_datasets,
 )
+from repro.experiments import __main__ as harness
 from repro.experiments.common import format_rows
+
+
+class TestHarness:
+    """``--list`` labels and ``--all-cheap``, over stub runners (no experiment runs)."""
+
+    @pytest.fixture
+    def ran(self, monkeypatch):
+        ran: list[str] = []
+        stubs = {
+            name: (lambda name=name: ran.append(name) or name, cheap)
+            for name, (_, cheap) in harness._RUNNERS.items()
+        }
+        monkeypatch.setattr(harness, "_RUNNERS", stubs)
+        return ran
+
+    def test_list_labels_fast_or_slow(self, capsys):
+        assert harness.main(["--list"]) == 0
+        labels = dict(line.split() for line in capsys.readouterr().out.splitlines())
+        assert set(labels) == set(harness._RUNNERS)
+        assert set(labels.values()) == {"(fast)", "(slow)"}
+        assert labels["table1"] == "(slow)"
+        assert labels["table4"] == labels["table7"] == "(fast)"
+
+    def test_all_cheap_leaves_table1_out(self, ran):
+        assert harness.main(["--all-cheap"]) == 0
+        assert "table1" not in ran
+        assert ran == [name for name, (_, cheap) in harness._RUNNERS.items() if cheap]
+        assert "table4" in ran and "table7" in ran
 
 
 class TestFormatRows:

@@ -10,6 +10,8 @@ verdict fusion.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,6 +34,16 @@ from repro.sensor.curation import LabeledSet
 from repro.sensor.directory import QuerierInfo, StaticDirectory
 from repro.sensor.engine import ClassifiedOriginator, SensorConfig, SensorEngine
 from repro.telemetry import MetricsRegistry
+
+
+def jsonl_series(registry: MetricsRegistry) -> dict[str, dict]:
+    """``{family: {sorted label items: JSON-lines record}}``."""
+    out: dict[str, dict] = {}
+    for line in registry.to_jsonl().splitlines():
+        record = json.loads(line)
+        labels = tuple(sorted(record["labels"].items()))
+        out.setdefault(record["name"], {})[labels] = record
+    return out
 
 
 def entry(ts: float, querier: int = 1, originator: int = 2) -> QueryLogEntry:
@@ -432,19 +444,21 @@ class TestProcessPool:
         with FederatedSensor(
             directory, config, n_shards=2, processes=False, registry=registry
         ) as federated:
-            federated.process(synthetic_entries(windows=1), 0.0, 100.0)
-            federated.accounting()
+            sensed = federated.process(synthetic_entries(windows=1), 0.0, 100.0)
         names = set(registry.names())
+        assert registry.get("repro_span_total").value(
+            span="window.sense", outcome="ok"
+        ) == len(sensed)
         assert "repro_ingest_blocks_total" in names
         assert "repro_federation_events_total" in names
-        assert "repro_windows_sensed_total" in names
+        assert "repro_span_total" in names
         assert "repro_federation_rows_total" in names
         assert "repro_stage_items_total" in names
 
     def test_sharded_stream_publishes_what_a_single_engine_does(self):
         # Regression: the driver's own copy of the engine's accounting
-        # published none of the ingest / stream / window / select series
-        # and its windows carried no telemetry.
+        # published none of the ingest / stream / window / select series.
+        # No accounting() read: the live ledger must already be current.
         directory = directory_for(range(100, 140))
         config = SensorConfig(window_seconds=100.0, min_queriers=3, reorder_slack=2.0)
         block = EntryBlock.from_entries(synthetic_entries())
@@ -463,8 +477,7 @@ class TestProcessPool:
                 sensor.ingest_block(block[lo : lo + 400])
                 sensed += sensor.poll(classify=False)
             sensed += sensor.finish(classify=False)
-            sensor.accounting()
-            return sensed, sensor.registry.snapshot()
+            return sensed, jsonl_series(sensor.registry)
 
         single, want = run(SensorEngine(directory, config, registry=MetricsRegistry()))
         with FederatedSensor(
@@ -479,18 +492,19 @@ class TestProcessPool:
         ] + [
             "repro_stage_items_total",
             "repro_ingest_block_events_total",
-            "repro_windows_sensed_total",
-            "repro_select_originators_total",
         ]
-        assert len(counted) == 8
+        assert len(counted) == 6
         for name in counted:
-            assert got[name]["series"] == want[name]["series"], name
+            assert got[name] == want[name], name
+        sense = (("outcome", "ok"), ("span", "window.sense"))
+        assert got["repro_span_total"][sense] == want["repro_span_total"][sense]
+        windows = want["repro_stream_windows_total"][()]["value"]
+        assert want["repro_span_total"][sense]["value"] == windows == 3
         assert len(sharded) == len(single) == 3
         for g, w in zip(sharded, single):
-            assert set(g.telemetry) == set(w.telemetry)
-            assert set(g.telemetry["seconds"]) == set(w.telemetry["seconds"])
-            for key in ("originators", "selected", "featurized", "verdicts"):
-                assert g.telemetry[key] == w.telemetry[key], key
+            assert len(g.window) == len(w.window)
+            assert len(g.features) == len(w.features)
+            assert len(g.verdicts) == len(w.verdicts)
 
     def test_sensor_for_picks_the_class_by_shard_count(self):
         directory = directory_for(range(100, 102))

@@ -3,6 +3,7 @@ window hooks, and alert wiring."""
 
 from __future__ import annotations
 
+import asyncio
 import json
 import struct
 import threading
@@ -512,3 +513,51 @@ class TestVerdictsEncoding:
             assert b"\n" not in body[:-1] and b": " not in body
         # The history is full, so its length no longer moves; the count does.
         assert [r["start"] for r in json.loads(body)["windows"]] == [100.0, 200.0]
+
+
+async def _get_metrics(host: str, port: int) -> dict[str, float]:
+    """``GET /metrics`` as ``{'name{labels}': value}``."""
+    reader, writer = await asyncio.open_connection(host, port)
+    writer.write(b"GET /metrics HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n")
+    await writer.drain()
+    raw = await reader.read()
+    writer.close()
+    head, body = raw.split(b"\r\n\r\n", 1)
+    assert head.startswith(b"HTTP/1.1 200")
+    samples = {}
+    for line in body.decode().splitlines():
+        if line and not line.startswith("#"):
+            series, value = line.rsplit(" ", 1)
+            samples[series] = float(value)
+    return samples
+
+
+class TestLiveLedgerOnMetrics:
+    """``/metrics`` shows the stage ledger while serving, not only at exit."""
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_ingest_and_window_counts_are_current(self, shards):
+        directory = directory_for(range(100, 140))
+        sensor = SensorConfig(window_seconds=100.0, min_queriers=3)
+        block = EntryBlock.from_entries(synthetic_entries(windows=3))
+
+        async def run():
+            service = BackscatterService(
+                directory, ServiceConfig(port=0, shards=shards, sensor=sensor)
+            )
+            await service.start()
+            try:
+                service.submit_block(block)
+                await service.drain()
+                metrics = await _get_metrics(*service.http_address)
+                return metrics, service.windows_total
+            finally:
+                await service.stop()
+
+        metrics, windows_total = asyncio.run(run())
+        assert windows_total >= 2  # closed live, before stop() flushes the last
+        ingest_in = 'repro_stage_items_total{stage="ingest",direction="in"}'
+        assert metrics[ingest_in] == len(block)
+        assert metrics["repro_stream_windows_total"] == windows_total
+        window_out = 'repro_stage_items_total{stage="window",direction="out"}'
+        assert metrics[window_out] == windows_total

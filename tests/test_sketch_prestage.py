@@ -263,13 +263,17 @@ class TestTelemetry:
         engine.process(entries, 0.0, WINDOW, classify=False)
         text = registry.to_prometheus()
         for family in (
-            "repro_select_originators_total",
+            "repro_stage_items_total",
             "repro_sketch_gate_originators_total",
             "repro_sketch_events_total",
             "repro_sketch_memory_bytes",
         ):
             assert f"# TYPE {family}" in text, family
         assert "repro_sketch_estimate_error" not in text
+        # The select stage saw every originator the sketch summarized.
+        seen = engine.stats["select"].items_in
+        items = registry.get("repro_stage_items_total")
+        assert items.value(stage="select", direction="in") == seen
 
     def test_gate_counters_add_up(self):
         entries = synthetic_entries()
@@ -297,7 +301,7 @@ class TestTelemetry:
         )
         assert total_events == len(entries)
 
-    def test_sensed_telemetry_carries_sketch_block(self):
+    def test_sensed_window_carries_its_prestage(self):
         entries = synthetic_entries()
         engine = SensorEngine(
             directory_for(entries),
@@ -307,9 +311,9 @@ class TestTelemetry:
             ),
         )
         sensed = engine.process(entries, 0.0, WINDOW, classify=False)[0]
-        sketch = sensed.telemetry["sketch"]
-        assert sketch["originators_seen"] == sensed.window.prestage.originators_seen
-        assert set(sketch["memory_bytes"]) == {"bloom", "hll", "roster"}
+        prestage = sensed.window.prestage
+        assert prestage.originators_seen == engine.stats["select"].items_in
+        assert set(prestage.memory_bytes()) == {"bloom", "hll", "roster"}
 
     def test_streaming_windows_never_sweep_the_gate(self, monkeypatch):
         entries = synthetic_entries(windows=2)
@@ -336,7 +340,6 @@ class TestTelemetry:
         for got, want in zip(sensed, reference):
             assert np.array_equal(got.features.originators, want.features.originators)
             assert np.array_equal(got.features.matrix, want.features.matrix)
-            assert "gate_kept" not in got.telemetry["sketch"]
         assert "repro_sketch_gate_originators_total" not in registry
         assert "repro_sketch_events_total" in registry
         # A batch window, where the gate does drop events, still counts it.
@@ -353,7 +356,6 @@ class TestTelemetry:
             SensorConfig(window_seconds=WINDOW, min_queriers=10),
         )
         sensed = engine.process(entries, 0.0, WINDOW, classify=False)[0]
-        assert "sketch" not in sensed.telemetry
         assert sensed.window.prestage is None
 
 

@@ -4,7 +4,6 @@ engine's end-to-end metric emission."""
 from __future__ import annotations
 
 import json
-import math
 import threading
 import time
 
@@ -26,7 +25,6 @@ from repro.telemetry import (
     current_span_path,
     format_for_path,
     get_registry,
-    install,
     observe,
     set_gauge,
     span,
@@ -35,12 +33,14 @@ from repro.telemetry import (
 )
 
 
-@pytest.fixture(autouse=True)
-def no_ambient_registry():
-    """Every test starts and ends with telemetry uninstalled."""
-    previous = install(None)
-    yield
-    install(previous)
+def jsonl_series(registry: MetricsRegistry) -> dict[str, dict]:
+    """``{family: {sorted label items: JSON-lines record}}``."""
+    out: dict[str, dict] = {}
+    for line in registry.to_jsonl().splitlines():
+        record = json.loads(line)
+        labels = tuple(sorted(record["labels"].items()))
+        out.setdefault(record["name"], {})[labels] = record
+    return out
 
 
 class TestCounter:
@@ -87,22 +87,21 @@ class TestGauge:
 
 class TestHistogram:
     def test_bucket_bounds_are_inclusive(self):
-        hist = Histogram("h_seconds", buckets=(1.0, 2.0))
+        registry = MetricsRegistry()
+        hist = registry.histogram("h_seconds", buckets=(1.0, 2.0))
         hist.observe(1.0)   # on the bound -> le="1" bucket
         hist.observe(1.5)
         hist.observe(99.0)  # beyond the last bound -> +Inf only
-        buckets = dict(
-            (bound, cum) for bound, cum in hist.cumulative_buckets()
-        )
-        assert buckets[1.0] == 1
-        assert buckets[2.0] == 2
-        assert buckets[math.inf] == 3
+        (record,) = jsonl_series(registry)["h_seconds"].values()
+        assert record["buckets"] == {"1": 1, "2": 2, "+Inf": 3}
         assert hist.count() == 3
         assert hist.sum() == pytest.approx(101.5)
 
-    def test_empty_series_renders_zero_buckets(self):
-        hist = Histogram("h_seconds", buckets=(1.0,))
-        assert hist.cumulative_buckets() == [(1.0, 0), (math.inf, 0)]
+    def test_unobserved_histogram_renders_no_series(self):
+        registry = MetricsRegistry()
+        registry.histogram("h_seconds", buckets=(1.0,))
+        assert registry.to_jsonl() == ""
+        assert registry.to_prometheus() == "# TYPE h_seconds histogram\n"
 
     def test_bad_buckets_rejected(self):
         with pytest.raises(ValueError):
@@ -144,16 +143,18 @@ class TestRegistry:
         with pytest.raises(ValueError, match="different buckets"):
             registry.histogram("h", buckets=(2.0,))
 
-    def test_snapshot_shape(self):
+    def test_jsonl_record_shape(self):
         registry = MetricsRegistry()
         registry.counter("c_total", "things", labels=("stage",)).inc(2, stage="x")
         registry.histogram("h_seconds", buckets=(1.0,)).observe(0.5)
-        snap = registry.snapshot()
-        assert snap["c_total"]["kind"] == "counter"
-        assert snap["c_total"]["series"]["stage=x"] == 2
-        hist = snap["h_seconds"]["series"][""]
-        assert hist["count"] == 1
-        assert hist["buckets"] == {"1": 1, "+Inf": 1}
+        series = jsonl_series(registry)
+        assert series["c_total"][(("stage", "x"),)] == {
+            "name": "c_total", "kind": "counter", "labels": {"stage": "x"}, "value": 2,
+        }
+        assert series["h_seconds"][()] == {
+            "name": "h_seconds", "kind": "histogram", "labels": {},
+            "sum": 0.5, "count": 1, "buckets": {"1": 1, "+Inf": 1},
+        }
 
 
 class TestPrometheusText:
@@ -260,16 +261,11 @@ class TestSpans:
 
     def test_use_registry_none_keeps_current(self):
         registry = MetricsRegistry()
-        install(registry)
-        with use_registry(None):
+        with use_registry(registry):
+            with use_registry(None):
+                assert get_registry() is registry
             assert get_registry() is registry
-        assert get_registry() is registry
-
-    def test_install_returns_previous(self):
-        first, second = MetricsRegistry(), MetricsRegistry()
-        assert install(first) is None
-        assert install(second) is first
-        assert install(None) is second
+        assert get_registry() is None
 
     def test_helpers_noop_without_registry(self):
         count("c_total", 5)
@@ -318,12 +314,14 @@ class TestSpans:
         assert mine.get("repro_span_seconds").count(span="classifier.fit", parent="") == 0
 
     def test_span_opened_without_registry_stays_unrecorded(self):
+        # The scope opens inside one span and closes inside the next.
         registry = MetricsRegistry()
+        scope = use_registry(registry)
         with span("early"):
-            install(registry)
+            scope.__enter__()
         assert current_span_path() == ""
         with span("late"):
-            install(None)
+            scope.__exit__(None, None, None)
         assert current_span_path() == ""
         assert registry.get("repro_span_seconds").count(span="late", parent="") == 1
         assert registry.get("repro_span_seconds").count(span="early", parent="") == 0
@@ -370,10 +368,7 @@ class TestEngineEmission:
         assert len(sensed) >= 2
         text = registry.to_prometheus()
         for family in (
-            "repro_stage_seconds",
             "repro_stage_items_total",
-            "repro_window_seconds",
-            "repro_windows_sensed_total",
             "repro_span_seconds",
             "repro_span_total",
             "repro_enrichment_cache_hits_total",
@@ -381,6 +376,15 @@ class TestEngineEmission:
             "repro_enrichment_cache_built_total",
         ):
             assert f"# TYPE {family}" in text, family
+        # A duration lives in its span, a count in the stage ledger:
+        # no family re-records either.
+        for family in (
+            "repro_stage_seconds",
+            "repro_window_seconds",
+            "repro_windows_sensed_total",
+            "repro_select_originators_total",
+        ):
+            assert family not in registry, family
 
     def test_stage_items_match_stage_stats(self):
         registry = MetricsRegistry()
@@ -396,22 +400,21 @@ class TestEngineEmission:
                     stage=stage.name, direction="out"
                 ) == stage.items_out
 
-    def test_windows_counted(self):
+    def test_windows_counted_by_their_span(self):
         registry = MetricsRegistry()
         _, sensed = _tiny_sensed_run(registry)
-        counter = registry.get("repro_windows_sensed_total")
-        assert counter.value() == len(sensed)
-        hist = registry.get("repro_window_seconds")
-        assert hist.count() == len(sensed)
+        counter = registry.get("repro_span_total")
+        assert counter.value(span="window.sense", outcome="ok") == len(sensed)
+        hist = registry.get("repro_span_seconds")
+        assert hist.count(span="window.sense", parent="engine.run") == len(sensed)
 
-    def test_sensed_window_telemetry_attached(self):
-        _, sensed = _tiny_sensed_run(None)  # no registry: still populated
-        for item in sensed:
-            snapshot = item.telemetry
-            assert snapshot is not None
-            assert snapshot["window_end"] > snapshot["window_start"]
-            assert snapshot["featurized"] <= snapshot["originators"]
-            assert snapshot["seconds"]["total"] >= 0.0
+    def test_stage_ledger_kept_without_registry(self):
+        engine, sensed = _tiny_sensed_run(None)  # no registry: still populated
+        stats = {stage.name: stage for stage in engine.accounting()}
+        assert stats["window"].items_out == len(sensed)
+        assert stats["select"].items_in == sum(len(item.window) for item in sensed)
+        assert stats["featurize"].items_out == sum(len(item.features) for item in sensed)
+        assert all(stats[name].seconds > 0.0 for name in ("ingest", "window", "select"))
 
     def test_no_registry_no_emission(self):
         engine, sensed = _tiny_sensed_run(None)
@@ -430,7 +433,7 @@ class TestEngineEmission:
         ]
         engine.ingest_block(EntryBlock.from_entries(entries))
         engine.finish()
-        engine.accounting()
+        # The live ledger is current without reading accounting().
         text = registry.to_prometheus()
         assert "repro_stream_late_dropped_total 1" in text
         assert "repro_stream_reordered_total 1" in text
