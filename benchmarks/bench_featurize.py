@@ -1,18 +1,16 @@
 """Featurization benchmark: serial vs. cached rows/s.
 
 Generates a B-long window (the paper's week-long BINY vantage), runs the
-featurize stage three ways, and writes ``BENCH_featurize.json``:
+featurize stage two ways, and writes ``BENCH_featurize.json``:
 
-* **serial** — the scalar reference path with no shared cache: every
-  call re-resolves its queriers through the directory, equivalent to the
+* **serial** — the scalar reference path: every call looks its queriers
+  up in the directory and classifies their names, equivalent to the
   pre-vectorization per-originator loop;
-* **cold** — the cached mode with the per-process ``classify_name``
-  memo emptied before each round: what a process's first window pays;
-* **cached** — :func:`features_from_selected`: one window-scoped
-  :class:`EnrichmentCache` plus vectorized array math, with the keyword
-  memo warm, as on every later window.
+* **cached** — :func:`features_from_selected`: one searchsorted into the
+  directory's columns (enriched when the directory was built) plus
+  vectorized array math.
 
-Each mode reports rows/s from the best of ``--rounds`` runs.  A fourth
+Each mode reports rows/s from the best of ``--rounds`` runs.  A third
 measurement re-runs the cached mode with a live
 :class:`repro.telemetry.MetricsRegistry` installed and reports the
 overhead of active telemetry (``--assert-overhead PCT`` turns it into
@@ -38,25 +36,18 @@ import numpy as np
 
 from repro.datasets.generate import get_dataset
 from repro.experiments.common import sensor_config
-from repro.sensor.directory import EnrichmentCache
 from repro.sensor.dynamic import WindowContext
 from repro.sensor.engine import SensorEngine
 from repro.sensor.features import feature_vector, features_from_selected
-from repro.sensor.keywords import classify_name
 from repro.sensor.selection import analyzable
 from repro.telemetry import MetricsRegistry, use_registry, write_metrics
 
 
-def _best_of(rounds: int, run, before=None) -> tuple[float, object]:
-    """Minimum wall time over *rounds* calls (and the last result).
-
-    *before*, when given, runs untimed ahead of each call.
-    """
+def _best_of(rounds: int, run) -> tuple[float, object]:
+    """Minimum wall time over *rounds* calls (and the last result)."""
     best = float("inf")
     result = None
     for _ in range(rounds):
-        if before is not None:
-            before()
         t0 = time.perf_counter()
         result = run()
         best = min(best, time.perf_counter() - t0)
@@ -117,8 +108,8 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
     def run_serial() -> np.ndarray:
-        # Pre-vectorization equivalent: no shared cache, scalar per-row loop.
-        context = WindowContext.from_window(window, EnrichmentCache(directory))
+        # Pre-vectorization equivalent: a scalar per-row loop of lookups.
+        context = WindowContext.from_window(window, directory)
         return np.vstack(
             [feature_vector(o, directory, context) for o in selected]
         )
@@ -129,21 +120,14 @@ def main(argv: list[str] | None = None) -> int:
     rows = len(selected)
     modes: dict[str, dict[str, float]] = {}
     matrices: dict[str, np.ndarray] = {}
-    for name, run, before in (
-        ("serial", run_serial, None),
-        ("cold", run_cached, classify_name.cache_clear),
-        ("cached", run_cached, None),
-    ):
-        seconds, matrix = _best_of(args.rounds, run, before)
+    for name, run in (("serial", run_serial), ("cached", run_cached)):
+        seconds, matrix = _best_of(args.rounds, run)
         matrices[name] = matrix
         modes[name] = {
             "seconds": round(seconds, 6),
             "rows_per_s": round(rows / seconds, 2),
         }
         print(f"{name:>8}: {seconds:.3f}s  {rows / seconds:,.0f} rows/s", flush=True)
-    if not np.array_equal(matrices["cold"], matrices["cached"]):
-        print("the keyword memo changed the feature matrix!", file=sys.stderr)
-        return 1
 
     # Telemetry overhead: the cached mode again, now with a registry
     # installed so every span/observe hook does real work.  Best-of-N
@@ -186,9 +170,6 @@ def main(argv: list[str] | None = None) -> int:
         "modes": modes,
         "speedup_cached_vs_serial": round(
             modes["serial"]["seconds"] / modes["cached"]["seconds"], 2
-        ),
-        "speedup_cached_vs_cold": round(
-            modes["cold"]["seconds"] / modes["cached"]["seconds"], 2
         ),
         "telemetry_overhead_pct": round(overhead_pct, 2),
     }

@@ -42,7 +42,7 @@ from pathlib import Path
 from repro.federation import FederatedSensor
 from repro.logstore import EntryBlock
 from repro.netmodel.world import NameStatus
-from repro.sensor.directory import QuerierInfo, StaticDirectory
+from repro.sensor.directory import FrozenDirectory, QuerierInfo
 from repro.sensor.engine import SensorConfig, SensorEngine
 
 WINDOW_SECONDS = 21_600.0
@@ -55,7 +55,7 @@ COUNTRIES = ("jp", "us", "de", "br", "cn", "ru", "fr", "in")
 
 def synthetic_workload(
     events_target: int, min_queriers: int, seed: int
-) -> tuple[EntryBlock, StaticDirectory]:
+) -> tuple[EntryBlock, FrozenDirectory]:
     """A time-ordered log whose cost sits in the featurize stage.
 
     Unlike ``bench_ingest`` (tail-dominated, exercising dedup/select),
@@ -90,17 +90,15 @@ def synthetic_workload(
         used.add(querier)
         events.append((rng.random() * SPAN, querier, originator))
     events.sort()
-    directory = StaticDirectory(
-        {
-            q: QuerierInfo(
-                addr=q,
-                name=f"host{q & 0xFFFFF}.pool.example.net",
-                status=NameStatus.OK,
-                asn=q % 4096 + 1,
-                country=COUNTRIES[q % len(COUNTRIES)],
-            )
-            for q in used
-        }
+    directory = FrozenDirectory(
+        QuerierInfo(
+            addr=q,
+            name=f"host{q & 0xFFFFF}.pool.example.net",
+            status=NameStatus.OK,
+            asn=q % 4096 + 1,
+            country=COUNTRIES[q % len(COUNTRIES)],
+        )
+        for q in used
     )
     block = EntryBlock.from_arrays(
         *map(list, zip(*events))  # timestamps, queriers, originators
@@ -108,14 +106,14 @@ def synthetic_workload(
     return block, directory
 
 
-def run_single(directory: StaticDirectory, config: SensorConfig, block: EntryBlock):
+def run_single(directory: FrozenDirectory, config: SensorConfig, block: EntryBlock):
     engine = SensorEngine(directory, config)
     windows = engine.process(block, 0.0, SPAN, classify=False)
     return windows, engine.accounting()
 
 
 def run_federated(
-    directory: StaticDirectory,
+    directory: FrozenDirectory,
     config: SensorConfig,
     block: EntryBlock,
     shards: int,

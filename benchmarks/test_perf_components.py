@@ -16,7 +16,7 @@ from repro.ml import ForestConfig, RandomForestClassifier
 from repro.netmodel import QuerierRole, World, WorldConfig
 from repro.sensor import SensorEngine
 from repro.sensor.collection import dedup_entries
-from repro.sensor.directory import WorldDirectory
+from repro.sensor.directory import world_directory
 from repro.sensor.features import extract_features
 
 
@@ -68,7 +68,7 @@ def test_perf_dedup(benchmark):
 
 def test_perf_feature_extraction(benchmark, perf_world):
     rng = np.random.default_rng(3)
-    directory = WorldDirectory(perf_world)
+    directory = world_directory(perf_world)
     entries = []
     queriers = [q.addr for q in perf_world.queriers[:2000]]
     for originator in range(50):

@@ -20,7 +20,7 @@ from repro.analysis.controlled import fit_power_law, run_experiment
 from repro.datasets import read_log_block, write_log
 from repro.dnssim import Authority, AuthorityLevel, DnsHierarchy, ResolverConfig
 from repro.netmodel import World, WorldConfig, ip_to_str
-from repro.sensor import SensorConfig, SensorEngine, WorldDirectory
+from repro.sensor import SensorConfig, SensorEngine, world_directory
 
 
 def main() -> None:
@@ -63,7 +63,7 @@ def main() -> None:
     print(f"\nde-dns observed {len(de_sensor.log)} reverse queries")
 
     # --- extract features the way the sensor would -----------------------
-    directory = WorldDirectory(world)
+    directory = world_directory(world)
     sensor = SensorEngine(directory, SensorConfig(min_queriers=10))
     window = sensor.collect(de_sensor.log, 0.0, 2 * 86400.0)
     features = sensor.featurize(window)

@@ -64,13 +64,13 @@ from repro.sensor import (
     FEATURE_NAMES,
     ClassifiedOriginator,
     EnrichmentCache,
+    FrozenDirectory,
     LabeledExample,
     LabeledSet,
     SensedWindow,
     SensorConfig,
     SensorEngine,
     StageStats,
-    WorldDirectory,
     classify_name,
     extract_features,
 )
@@ -99,13 +99,13 @@ __all__ = [
     "FEATURE_NAMES",
     "ClassifiedOriginator",
     "EnrichmentCache",
+    "FrozenDirectory",
     "LabeledExample",
     "LabeledSet",
     "SensedWindow",
     "SensorConfig",
     "SensorEngine",
     "StageStats",
-    "WorldDirectory",
     "classify_name",
     "extract_features",
     "World",

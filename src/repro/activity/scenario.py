@@ -160,9 +160,6 @@ class Scenario:
     campaigns: list[Campaign]
     team_prefixes: list[Prefix]
 
-    def actors_of(self, app_class: str) -> list[Actor]:
-        return [a for a in self.actors if a.app_class == app_class]
-
     def alive_counts(self, day: float) -> dict[str, int]:
         counts = {name: 0 for name in APPLICATION_CLASSES}
         for actor in self.actors:

@@ -96,10 +96,6 @@ class SurgeDetector:
         self._history.append(float(observed))
         return alert
 
-    @property
-    def baseline_size(self) -> int:
-        return len(self._history)
-
 
 def detect_surges(
     series: Sequence[tuple[float, dict[str, int], int]],

@@ -59,9 +59,6 @@ class WindowedAnalysis:
                 return window
         return None
 
-    def feature_series(self) -> list[tuple[float, FeatureSet]]:
-        return [(w.mid_day, w.features) for w in self.windows]
-
 
 def slice_windows(
     dataset: GeneratedDataset,

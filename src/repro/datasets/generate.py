@@ -14,7 +14,7 @@ experiment harness calls it from every table/figure module, and a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.activity.engine import SimulationEngine
 from repro.activity.scenario import Scenario, build_scenario
@@ -25,7 +25,7 @@ from repro.groundtruth.blacklist import BlacklistRegistry
 from repro.groundtruth.darknet import Darknet
 from repro.groundtruth.labeling import GroundTruthSources
 from repro.netmodel.world import World, WorldConfig
-from repro.sensor.directory import WorldDirectory
+from repro.sensor.directory import FrozenDirectory, world_directory
 
 __all__ = [
     "GeneratedDataset",
@@ -49,14 +49,19 @@ class GeneratedDataset:
     sensor: Authority
     darknet: Darknet
     blacklists: BlacklistRegistry
+    _directory: FrozenDirectory | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def duration_seconds(self) -> float:
         return self.spec.duration_days * SECONDS_PER_DAY
 
-    def directory(self) -> WorldDirectory:
-        """Querier metadata provider backed by this dataset's world."""
-        return WorldDirectory(self.world)
+    def directory(self) -> FrozenDirectory:
+        """This dataset's world as a querier directory, built on first use."""
+        if self._directory is None:
+            self._directory = world_directory(self.world)
+        return self._directory
 
     def true_classes(self) -> dict[int, str]:
         """Originator → application class, from the simulation's own record."""
@@ -140,14 +145,19 @@ class MultiVantageDataset:
     hierarchy: DnsHierarchy
     sensors: dict[str, Authority]
     """Vantage name → its authority (and attenuated log)."""
+    _directory: FrozenDirectory | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def duration_seconds(self) -> float:
         return self.spec.duration_days * SECONDS_PER_DAY
 
-    def directory(self) -> WorldDirectory:
-        """Querier metadata provider backed by this dataset's world."""
-        return WorldDirectory(self.world)
+    def directory(self) -> FrozenDirectory:
+        """This dataset's world as a querier directory, built on first use."""
+        if self._directory is None:
+            self._directory = world_directory(self.world)
+        return self._directory
 
     def true_classes(self) -> dict[int, str]:
         """Originator → application class, from the simulation's own record."""

@@ -282,7 +282,7 @@ def read_directory(path: str | Path) -> FrozenDirectory:
                 rows.append(_directory_row(text))
             except ValueError as error:
                 raise ValueError(f"{path}:{lineno}: invalid directory row: {error}") from None
-    return FrozenDirectory(*(zip(*rows) if rows else [()] * len(_DIRECTORY_FIELDS)))
+    return FrozenDirectory(rows)
 
 
 _DIRECTORY_FIELDS = ("addr", "name", "status", "asn", "country")
@@ -290,8 +290,8 @@ _NAME_STATUS = dict(NameStatus.__members__)
 _decode_json = json.JSONDecoder().raw_decode
 
 
-def _directory_row(text: str) -> tuple[int, str | None, NameStatus, int | None, str | None]:
-    """One stripped directory line as ``(addr, name, status, asn, country)``.
+def _directory_row(text: str) -> QuerierInfo:
+    """One stripped directory line as a :class:`QuerierInfo`.
 
     Raises ``ValueError`` saying what is wrong with it.
     """
@@ -318,4 +318,4 @@ def _directory_row(text: str) -> tuple[int, str | None, NameStatus, int | None, 
             raise ValueError(f"{field} {value!r} is neither a string nor null")
     if type(status) is not str or status not in _NAME_STATUS:
         raise ValueError(f"status {status!r} is not one of {', '.join(_NAME_STATUS)}")
-    return addr, name, _NAME_STATUS[status], asn, country
+    return QuerierInfo(addr, name, _NAME_STATUS[status], asn, country)

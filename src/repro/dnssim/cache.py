@@ -31,10 +31,6 @@ class CacheStats:
     def lookups(self) -> int:
         return self.hits + self.misses
 
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.lookups if self.lookups else 0.0
-
 
 @dataclass(slots=True)
 class TtlCache(Generic[K, V]):

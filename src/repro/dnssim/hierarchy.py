@@ -241,7 +241,3 @@ class DnsHierarchy:
         return response
 
     # ------------------------------------------------------------------
-
-    def reset_sensors(self) -> None:
-        for sensor in self.all_sensors():
-            sensor.reset()

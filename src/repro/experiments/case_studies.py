@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.datasets.generate import GeneratedDataset, get_dataset
-from repro.sensor.directory import WorldDirectory
 from repro.sensor.engine import SensorEngine
 from repro.sensor.dynamic import WindowContext, dynamic_feature_dict
 from repro.sensor.static import static_feature_dict
@@ -84,7 +83,7 @@ def _pick_exemplars(dataset: GeneratedDataset) -> dict[str, int]:
 
 def run(preset: str = "default") -> list[CaseStudy]:
     dataset = get_dataset("JP-ditl", preset)
-    directory = WorldDirectory(dataset.world)
+    directory = dataset.directory()
     window = SensorEngine().collect(
         dataset.sensor.log, 0.0, dataset.duration_seconds
     )

@@ -30,6 +30,7 @@ is first appearance — row contents and per-originator verdicts match).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -104,11 +105,9 @@ class ShardedCollector:
         window_seconds: float,
         origin: float,
         reorder_slack: float,
-        seed: int,
     ) -> None:
         self._pool = pool
         self._n_shards = len(pool.workers)
-        self._seed = seed
         self._origin = origin
         self._width = window_seconds
         self._front = ReorderFront(origin=origin, reorder_slack=reorder_slack)
@@ -129,7 +128,7 @@ class ShardedCollector:
         note_first_appearance(
             events[0], events[2], self._origin, self._width, self._ranks
         )
-        parts = partition_arrays(*events, self._n_shards, self._seed)
+        parts = partition_arrays(*events, self._n_shards)
         self._gather(
             method, op,
             [(*columns, *args) for columns in parts],
@@ -220,8 +219,6 @@ class FederatedSensor(SensorEngine):
         With True (default) each shard runs on its own fork-context
         process; False — or a platform without fork — runs shards
         inline, bit-identically.
-    partition_seed:
-        Seed for the originator → shard hash.
     """
 
     def __init__(
@@ -231,7 +228,6 @@ class FederatedSensor(SensorEngine):
         n_shards: int = 2,
         registry: MetricsRegistry | None = None,
         processes: bool = True,
-        partition_seed: int = 0,
     ) -> None:
         if n_shards < 1:
             raise ValueError("n_shards must be positive")
@@ -239,7 +235,6 @@ class FederatedSensor(SensorEngine):
             raise ValueError("federation needs a querier directory")
         super().__init__(directory, config, registry=registry)
         self.n_shards = n_shards
-        self.partition_seed = partition_seed
         workers = [ShardWorker(k, directory, self.config) for k in range(n_shards)]
         self._pool = ShardPool(workers, processes=processes)
 
@@ -250,8 +245,7 @@ class FederatedSensor(SensorEngine):
     def _new_collector(self, origin: float) -> ShardedCollector:
         config = self.config
         return ShardedCollector(
-            self._pool, config.window_seconds, origin, config.reorder_slack,
-            self.partition_seed,
+            self._pool, config.window_seconds, origin, config.reorder_slack
         )
 
     # -- batch window stage ---------------------------------------------
@@ -271,7 +265,7 @@ class FederatedSensor(SensorEngine):
         engine, sketch gate included.
         """
         width, grid = self._window_grid(start, end, window_seconds)
-        collector = ShardedCollector(self._pool, width, start, 0.0, self.partition_seed)
+        collector = ShardedCollector(self._pool, width, start, 0.0)
         with self._scope():
             with span("stage.ingest") as ingest_span:
                 offered, sub = self._block_in_range(entries, start, end)
@@ -308,7 +302,8 @@ class FederatedSensor(SensorEngine):
         """Merged context → per-shard select + featurize → merged rows.
 
         Select/featurize counts are summed over shards (originator
-        partitioning makes the sums equal the single engine's).
+        partitioning makes the sums equal the single engine's), and so
+        are the shards' sketch pre-stage counters, published once.
         """
         with self._scope():
             with span("stage.window") as merge_span:
@@ -321,7 +316,9 @@ class FederatedSensor(SensorEngine):
                 for shard, _ in window.parts
             ]
             shard_rows = [future.result() for future in futures]
+            sketch: Counter[str] = Counter()
             for rows in shard_rows:
+                sketch.update(rows.sketch or {})
                 self._record_stage(
                     "select",
                     items_in=rows.select_in,
@@ -338,6 +335,8 @@ class FederatedSensor(SensorEngine):
                           help="Merged feature rows contributed per shard.",
                           shard=str(rows.shard))
                     _observe_shard(rows.shard, "featurize", rows.seconds)
+            if sketch and get_registry() is not None:
+                self._emit_sketch_metrics(sketch)
             return merge_rows(context, window.ranks, shard_rows)
 
 

@@ -18,7 +18,9 @@ stages of :class:`~repro.federation.driver.FederatedSensor` need:
    the merged context broadcast back, returning the rows as
    :class:`ShardRows`.  Because every feature row depends only on its
    own observation plus the shared context, shard rows are bit-identical
-   to the rows a single engine computes for the same originators.
+   to the rows a single engine computes for the same originators.  The
+   window's sketch pre-stage counters (``--sketch``) ride back with them,
+   for the driver to publish.
 
 Process fan-out: one single-worker fork-context executor per shard,
 forked when the pool is built, the worker object inherited through fork
@@ -79,6 +81,9 @@ class ShardRows:
     select_out: int
     rows: int
     seconds: float
+    sketch: dict[str, int] | None = None
+    """The window's pre-stage counters
+    (:meth:`~repro.sketch.prestage.SketchPreStage.counters`), if it has one."""
 
 
 class ShardWorker:
@@ -92,10 +97,9 @@ class ShardWorker:
     ) -> None:
         self.shard_id = shard_id
         self.config = config.replaced(reorder_slack=0.0)
-        # One persistent enrichment cache per shard: context partials and
-        # featurize share lookups, exactly like a single engine's
-        # per-window cache (enrichment is deterministic per address, so
-        # cache locality never changes feature values).
+        # One enrichment view per shard, read by the context partials and
+        # featurize alike: the directory is frozen, so which view reads it
+        # never changes a feature value.
         self.directory = EnrichmentCache.ensure(directory)
         self.engine = SensorEngine(self.directory, self.config)
         self._windows: dict[int, ObservationWindow] = {}
@@ -180,6 +184,7 @@ class ShardWorker:
             select_out=len(selected),
             rows=len(features),
             seconds=time.perf_counter() - started,
+            sketch=None if prestage is None else prestage.counters(),
         )
 
     # -- internals ------------------------------------------------------

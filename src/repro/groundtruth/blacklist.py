@@ -84,9 +84,6 @@ class BlacklistRegistry:
     def listed_spammers(self, min_listings: int = 1) -> set[int]:
         return {o for o, names in self._spam.items() if len(names) >= min_listings}
 
-    def listed_other(self, min_listings: int = 1) -> set[int]:
-        return {o for o, names in self._other.items() if len(names) >= min_listings}
-
     def is_clean(self, originator: int) -> bool:
         """No provider lists this originator at all (Table VII's "clean")."""
         return self.spam_listings(originator) == 0 and self.other_listings(originator) == 0

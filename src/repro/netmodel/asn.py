@@ -66,10 +66,6 @@ class AutonomousSystem:
     def contains(self, addr: int) -> bool:
         return any(addr in p for p in self.prefixes)
 
-    @property
-    def address_count(self) -> int:
-        return sum(p.size for p in self.prefixes)
-
 
 @dataclass(slots=True)
 class ASRegistry:
@@ -100,9 +96,6 @@ class ASRegistry:
 
     def in_country(self, code: str) -> list[AutonomousSystem]:
         return [a for a in self.ases.values() if a.country == code]
-
-    def of_kind(self, kind: ASKind) -> list[AutonomousSystem]:
-        return [a for a in self.ases.values() if a.kind == kind]
 
     def __len__(self) -> int:
         return len(self.ases)

@@ -152,8 +152,6 @@ class World:
         self.queriers: list[Querier] = []
         self._by_role: dict[QuerierRole, list[int]] = {r: [] for r in QuerierRole}
         self._by_country: dict[str, list[int]] = {}
-        self._by_asn: dict[int, list[int]] = {}
-        self._shared_by_asn: dict[int, list[int]] = {}
         self._used_addrs: set[int] = set()
         self._originator_cursor: dict[int, int] = {}
         self._infra_blocks: dict[int, list[int]] = {}
@@ -246,9 +244,6 @@ class World:
         self.queriers.append(querier)
         self._by_role[role].append(index)
         self._by_country.setdefault(asystem.country, []).append(index)
-        self._by_asn.setdefault(asystem.asn, []).append(index)
-        if querier.shared:
-            self._shared_by_asn.setdefault(asystem.asn, []).append(index)
 
     # ------------------------------------------------------------------
     # lookups (the simulator's whois + GeoIP)
@@ -280,16 +275,6 @@ class World:
             ]
             self._nameless_cache = cached
         return cached
-
-    def indices_for_country(self, code: str) -> list[int]:
-        return self._by_country.get(code, [])
-
-    def shared_resolver_of(self, asn: int) -> Querier | None:
-        """The AS's shared recursive resolver, if it has one."""
-        indices = self._shared_by_asn.get(asn)
-        if not indices:
-            return None
-        return self.queriers[indices[0]]
 
     def sample_queriers(
         self,

@@ -22,9 +22,7 @@ from repro.sensor.directory import (
     FrozenDirectory,
     QuerierDirectory,
     QuerierInfo,
-    ResolvedQuerier,
-    StaticDirectory,
-    WorldDirectory,
+    world_directory,
 )
 from repro.sensor.engine import (
     STAGE_NAMES,
@@ -92,9 +90,7 @@ __all__ = [
     "FrozenDirectory",
     "QuerierDirectory",
     "QuerierInfo",
-    "ResolvedQuerier",
-    "StaticDirectory",
-    "WorldDirectory",
+    "world_directory",
     "DYNAMIC_FEATURE_NAMES",
     "PERIOD_SECONDS",
     "WindowContext",

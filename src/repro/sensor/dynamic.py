@@ -106,11 +106,14 @@ def dynamic_features(
     directory: QuerierDirectory,
     context: WindowContext,
 ) -> np.ndarray:
-    """The eight dynamic features for one originator."""
+    """The eight dynamic features for one originator.
+
+    The scalar reference: each querier's AS and country come from
+    ``directory.lookup``, independently of the directory's columns.
+    """
     queriers = sorted(observation.unique_queriers)
     if not queriers:
         raise ValueError("observation has no queriers")
-    cache = EnrichmentCache.ensure(directory)
     n_queriers = len(queriers)
     queries_per_querier = observation.query_count / n_queriers
 
@@ -128,11 +131,11 @@ def dynamic_features(
     ases: set[int] = set()
     countries: set[str] = set()
     for addr in queriers:
-        resolved = cache.resolve(addr)
-        if resolved.asn is not None:
-            ases.add(resolved.asn)
-        if resolved.country is not None:
-            countries.add(resolved.country)
+        info = directory.lookup(addr)
+        if info.asn is not None:
+            ases.add(info.asn)
+        if info.country is not None:
+            countries.add(info.country)
     n_ases = max(1, len(ases))
     n_countries = max(1, len(countries))
     return np.array(

@@ -243,9 +243,10 @@ class SensorEngine:
     """Staged sensor: ingest → window/dedup → select → featurize → classify.
 
     One engine instance is one sensor deployment: a
-    :class:`QuerierDirectory` (metadata for the featurize stage; may be
-    omitted when only windowing is needed), a :class:`SensorConfig`, and
-    — after :meth:`fit` — a trained classify stage.
+    :class:`~repro.sensor.directory.FrozenDirectory` (metadata for the
+    featurize stage; may be omitted when only windowing is needed), a
+    :class:`SensorConfig`, and — after :meth:`fit` — a trained classify
+    stage.
 
     Batch and streaming are the same pipeline.  Batch calls
     (:meth:`process`, :meth:`windows`, :meth:`collect`) run a whole
@@ -367,35 +368,29 @@ class SensorEngine:
         count("repro_stage_items_total", dropped,
               help=help_items, stage=name, direction="dropped")
 
-    def _emit_sketch_metrics(self, prestage) -> None:
+    def _emit_sketch_metrics(self, counters: dict[str, int]) -> None:
         """Publish one window's pre-stage counters (registry in scope).
 
-        The gate counter is batch-only: there the gate drops events,
-        while a streaming window selects on its promoted exact
-        observations and reading the gate would cost an HLL sweep over
-        every originator for telemetry alone.
+        *counters* is :meth:`~repro.sketch.prestage.SketchPreStage.counters`
+        of the window's pre-stage, or their sum over a sharded window's
+        shards.  The gate counts are batch-only (see there).
         """
-        if prestage.exact_observations:
+        if "gate_kept" in counters:
             help_gate = "Originators through the approximate analyzability gate."
-            count("repro_sketch_gate_originators_total", prestage.gate_kept,
-                  help=help_gate, result="kept")
-            count("repro_sketch_gate_originators_total", prestage.gate_dropped,
-                  help=help_gate, result="dropped")
+            for result in ("kept", "dropped"):
+                count("repro_sketch_gate_originators_total", counters[f"gate_{result}"],
+                      help=help_gate, result=result)
         help_events = "Events through the sketch pre-stage, by outcome."
-        count("repro_sketch_events_total", prestage.events_unique,
-              help=help_events, result="unique")
-        count("repro_sketch_events_total", prestage.events_duplicate,
-              help=help_events, result="duplicate")
-        count("repro_sketch_events_total", prestage.events_deferred,
-              help=help_events, result="deferred")
+        for result in ("unique", "duplicate", "deferred"):
+            count("repro_sketch_events_total", counters[f"events_{result}"],
+                  help=help_events, result=result)
         help_resolver = ("Streaming promotion-resolver outcomes per "
                          "(originator, chunk), vectorized path only.")
-        count("repro_sketch_resolver_originators_total", prestage.resolver_wholesale,
-              help=help_resolver, outcome="wholesale")
-        count("repro_sketch_resolver_originators_total", prestage.resolver_replayed,
-              help=help_resolver, outcome="replayed")
-        for structure, nbytes in prestage.memory_bytes().items():
-            set_gauge("repro_sketch_memory_bytes", nbytes,
+        for outcome in ("wholesale", "replayed"):
+            count("repro_sketch_resolver_originators_total", counters[f"resolver_{outcome}"],
+                  help=help_resolver, outcome=outcome)
+        for structure in ("bloom", "hll", "roster"):
+            set_gauge("repro_sketch_memory_bytes", counters[f"memory_{structure}"],
                       help="Bytes held by each pre-stage structure.",
                       structure=structure)
 
@@ -730,7 +725,7 @@ class SensorEngine:
                 seconds=select_span.elapsed,
             )
             if prestage is not None and get_registry() is not None:
-                self._emit_sketch_metrics(prestage)
+                self._emit_sketch_metrics(prestage.counters())
             with span("stage.featurize") as featurize_span:
                 features = features_from_selected(window, selected, self.directory)
             self._record_stage(

@@ -5,12 +5,13 @@ features, identified by the originator's IP address, exactly the object
 the paper hands to its ML algorithms.
 
 This is the hot path of every experiment — every window of every dataset
-runs through it — so batch assembly is vectorized: one
-:class:`~repro.sensor.directory.EnrichmentCache` resolves each querier
-exactly once per window (shared by the window context, the static
-counts, and the dynamic features), and the per-originator math runs over
-flat int arrays (``np.bincount`` over (row, code) keys) instead of
-per-querier Python loops.  Every row depends only on its own observation
+runs through it — so batch assembly is vectorized: each distinct querier
+is read once per window from the
+:class:`~repro.sensor.directory.FrozenDirectory`'s columns (one
+searchsorted through the window's
+:class:`~repro.sensor.directory.EnrichmentCache`), and the
+per-originator math runs over flat int arrays (``np.bincount`` over
+(row, code) keys) instead of per-querier Python loops.  Every row depends only on its own observation
 plus the shared :class:`WindowContext`, which is what lets federated
 shards (``--shards N``, the multi-core path) compute their rows apart
 and still match a single engine bit for bit.
@@ -120,9 +121,9 @@ def feature_vector(
 ) -> np.ndarray:
     """One originator's full (static ‖ dynamic) vector.
 
-    The scalar reference path: resolves queriers through *directory* per
-    call (memoized only when handed an
-    :class:`~repro.sensor.directory.EnrichmentCache`).  Batch extraction
+    The scalar reference path: reads each querier through
+    ``directory.lookup`` and classifies its name per call, so it checks
+    the directory's columns instead of sharing them.  Batch extraction
     uses the vectorized :func:`features_from_selected` instead.
     """
     return np.concatenate(
@@ -202,12 +203,7 @@ def _feature_matrix(
         count=int(footprints.sum()),
     )
 
-    # Resolve each distinct querier exactly once; broadcast codes back.
-    distinct, inverse = np.unique(addrs, return_inverse=True)
-    categories, asns, country_codes = cache.codes(distinct)
-    categories = categories[inverse]
-    asns = asns[inverse]
-    country_codes = country_codes[inverse]
+    categories, asns, country_codes = cache.codes(addrs)
 
     # Static: per-row category counts in one bincount, then fractions.
     static_counts = np.bincount(

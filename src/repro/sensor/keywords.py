@@ -23,9 +23,8 @@ runs against whatever names the world synthesizes.
 
 from __future__ import annotations
 
-import functools
 import re
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 
 from repro.netmodel.world import NameStatus
 
@@ -116,13 +115,6 @@ _CATEGORY_PATTERNS: tuple[tuple[str, re.Pattern[str]], ...] = tuple(
 )
 _ANY_KEYWORD = _keyword_pattern(k for _, keywords in CATEGORY_KEYWORDS for k in keywords)
 
-#: Entries kept by the per-process :func:`classify_name` memo.  Querier
-#: names recur window after window, and a name's category depends on the
-#: name alone, so every window close after the first reuses it; the bound
-#: keeps a feed of ever-new names from growing the process.
-_CLASSIFY_MEMO_SIZE = 1 << 16
-
-
 def _component_category(component: str) -> str | None:
     """First matching category for one name component, or None."""
     lowered = component.lower()
@@ -134,14 +126,11 @@ def _component_category(component: str) -> str | None:
     return None
 
 
-@functools.lru_cache(maxsize=_CLASSIFY_MEMO_SIZE)
 def classify_name(name: str) -> str:
     """Static category of one reverse domain name.
 
     Walks components left to right applying the keyword rules, then falls
-    back to registered-domain suffixes, then ``other``.  Memoized for the
-    life of the process (bounded LRU; ``classify_name.cache_clear()``
-    empties it, ``classify_name.__wrapped__`` is the unmemoized rule).
+    back to registered-domain suffixes, then ``other``.
     """
     lowered = name.lower().rstrip(".")
     components = lowered.split(".")
@@ -158,17 +147,10 @@ def classify_name(name: str) -> str:
     return "other"
 
 
-def classify_querier(
-    name: str | None, status: NameStatus, rule: Callable[[str], str] = classify_name
-) -> str:
-    """Static category for a querier, including the nameless cases.
-
-    *rule* classifies a usable name: the memoized :func:`classify_name`
-    by default; a one-off pass over many names passes
-    ``classify_name.__wrapped__`` to leave the memo alone.
-    """
+def classify_querier(name: str | None, status: NameStatus) -> str:
+    """Static category for a querier, including the nameless cases."""
     if status is NameStatus.UNREACH:
         return "unreach"
     if status is NameStatus.NXDOMAIN or name is None:
         return "nxdomain"
-    return rule(name)
+    return classify_name(name)

@@ -11,8 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.sensor.collection import OriginatorObservation
-from repro.sensor.directory import EnrichmentCache, QuerierDirectory
-from repro.sensor.keywords import STATIC_CATEGORIES
+from repro.sensor.directory import QuerierDirectory
+from repro.sensor.keywords import STATIC_CATEGORIES, classify_querier
 
 __all__ = ["STATIC_FEATURE_NAMES", "static_features", "static_feature_dict"]
 
@@ -26,16 +26,17 @@ def static_features(
 ) -> np.ndarray:
     """Category-fraction vector over the observation's unique queriers.
 
-    Pass an :class:`EnrichmentCache` as *directory* to share querier
-    resolution with the dynamic features and the window context.
+    The scalar reference: each querier's row comes from
+    ``directory.lookup`` and is classified here, independently of the
+    directory's columns.
     """
     queriers = observation.unique_queriers
     if not queriers:
         raise ValueError("observation has no queriers")
-    cache = EnrichmentCache.ensure(directory)
     counts = np.zeros(len(STATIC_CATEGORIES))
     for addr in queriers:
-        counts[cache.resolve(addr).category_index] += 1.0
+        info = directory.lookup(addr)
+        counts[STATIC_CATEGORIES.index(classify_querier(info.name, info.status))] += 1.0
     return counts / counts.sum()
 
 

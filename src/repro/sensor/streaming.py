@@ -110,8 +110,6 @@ class StreamingCollector:
         dropped (counted in ``stats.late_dropped``); windows are only
         emitted once the watermark passes their end, so accepted
         reordering can never mutate an emitted window.
-    on_window:
-        Optional callback invoked with each completed window.
     prestage_factory:
         Optional factory building one
         :class:`~repro.sketch.prestage.SketchPreStage` per observation
@@ -130,7 +128,6 @@ class StreamingCollector:
         origin: float = 0.0,
         dedup_window: float = DEDUP_WINDOW_SECONDS,
         reorder_slack: float = 2.0,
-        on_window: Callable[[ObservationWindow], None] | None = None,
         prestage_factory: "Callable[[], SketchPreStage] | None" = None,
     ) -> None:
         if window_seconds <= 0:
@@ -141,7 +138,6 @@ class StreamingCollector:
         self.origin = origin
         self.dedup_window = dedup_window
         self.reorder_slack = reorder_slack
-        self.on_window = on_window
         self.stats = StreamingStats()
         self._front = ReorderFront(origin=origin, reorder_slack=reorder_slack)
         # Dedup state for the window currently being filled (processing
@@ -310,8 +306,6 @@ class StreamingCollector:
             window.querier_roster = window.prestage.roster_array()
         self.stats.windows_emitted += 1
         self._ready.append(window)
-        if self.on_window is not None:
-            self.on_window(window)
 
     # ------------------------------------------------------------------
 

@@ -510,6 +510,29 @@ class SketchPreStage:
             "roster": self._roster.nbytes,
         }
 
+    def counters(self) -> dict[str, int]:
+        """This window's telemetry counters, by name (small enough to ship
+        from a shard process).
+
+        The ``gate_*`` counts are present only with exact observations
+        (batch): there the gate drops events, while a streaming window
+        selects on its promoted exact observations and reading the gate
+        would cost an HLL sweep over every originator for telemetry alone.
+        """
+        counters = {
+            "events_unique": self.events_unique,
+            "events_duplicate": self.events_duplicate,
+            "events_deferred": self.events_deferred,
+            "resolver_wholesale": self.resolver_wholesale,
+            "resolver_replayed": self.resolver_replayed,
+        }
+        for structure, nbytes in self.memory_bytes().items():
+            counters[f"memory_{structure}"] = nbytes
+        if self.exact_observations:
+            counters["gate_kept"] = self.gate_kept
+            counters["gate_dropped"] = self.gate_dropped
+        return counters
+
     def false_drops(self, exact_footprints: Mapping[int, int], min_queriers: int) -> int:
         """How many truly-analyzable originators the gate dropped.
 

@@ -20,7 +20,7 @@ from repro.dnssim.message import QueryLogEntry
 from repro.logstore import EntryBlock
 from repro.netmodel.world import NameStatus
 from repro.sensor.collection import dedup_entries
-from repro.sensor.directory import QuerierInfo, StaticDirectory
+from repro.sensor.directory import FrozenDirectory, QuerierInfo
 from repro.sensor.engine import (
     STAGE_NAMES,
     SensorConfig,
@@ -34,18 +34,16 @@ def entry(ts: float, querier: int = 1, originator: int = 2) -> QueryLogEntry:
     return QueryLogEntry(timestamp=ts, querier=querier, originator=originator)
 
 
-def named_directory(queriers: range) -> StaticDirectory:
-    return StaticDirectory(
-        {
-            q: QuerierInfo(
-                addr=q,
-                name=f"host{q}.example.net",
-                status=NameStatus.OK,
-                asn=1,
-                country="jp",
-            )
-            for q in queriers
-        }
+def named_directory(queriers: range) -> FrozenDirectory:
+    return FrozenDirectory(
+        QuerierInfo(
+            addr=q,
+            name=f"host{q}.example.net",
+            status=NameStatus.OK,
+            asn=1,
+            country="jp",
+        )
+        for q in queriers
     )
 
 

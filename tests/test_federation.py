@@ -31,7 +31,7 @@ from repro.federation import (
 from repro.logstore import EntryBlock
 from repro.netmodel.world import NameStatus
 from repro.sensor.curation import LabeledSet
-from repro.sensor.directory import QuerierInfo, StaticDirectory
+from repro.sensor.directory import FrozenDirectory, QuerierInfo
 from repro.sensor.engine import ClassifiedOriginator, SensorConfig, SensorEngine
 from repro.telemetry import MetricsRegistry
 
@@ -53,18 +53,16 @@ def entry(ts: float, querier: int = 1, originator: int = 2) -> QueryLogEntry:
 COUNTRIES = ("jp", "us", "de")
 
 
-def directory_for(queriers: range) -> StaticDirectory:
-    return StaticDirectory(
-        {
-            q: QuerierInfo(
-                addr=q,
-                name=f"host{q}.example.net",
-                status=NameStatus.OK,
-                asn=q % 5 + 1,
-                country=COUNTRIES[q % len(COUNTRIES)],
-            )
-            for q in queriers
-        }
+def directory_for(queriers: range) -> FrozenDirectory:
+    return FrozenDirectory(
+        QuerierInfo(
+            addr=q,
+            name=f"host{q}.example.net",
+            status=NameStatus.OK,
+            asn=q % 5 + 1,
+            country=COUNTRIES[q % len(COUNTRIES)],
+        )
+        for q in queriers
     )
 
 
@@ -454,6 +452,39 @@ class TestProcessPool:
         assert "repro_span_total" in names
         assert "repro_federation_rows_total" in names
         assert "repro_stage_items_total" in names
+
+    @pytest.mark.parametrize("stream", [True, False], ids=["stream", "batch"])
+    def test_sharded_sketch_publishes_the_pre_stage_counters(self, stream):
+        # Regression: forked shards dropped their windows' pre-stage
+        # counters, so a sharded --sketch run had no repro_sketch_* family.
+        directory = directory_for(range(100, 140))
+        config = SensorConfig(window_seconds=100.0, min_queriers=3, sketch_enabled=True)
+        block = EntryBlock.from_entries(synthetic_entries())
+
+        def run(sensor):
+            if stream:
+                for lo in range(0, len(block), 400):
+                    sensor.ingest_block(block[lo : lo + 400])
+                    sensor.poll(classify=False)
+                sensor.finish(classify=False)
+            else:
+                sensor.process(block, 0.0, 300.0, classify=False)
+            series = jsonl_series(sensor.registry)
+            return {name: series[name] for name in series if name.startswith("repro_sketch_")}
+
+        want = run(SensorEngine(directory, config, registry=MetricsRegistry()))
+        with FederatedSensor(
+            directory, config, n_shards=2, registry=MetricsRegistry()
+        ) as federated:
+            got = run(federated)
+        assert "repro_sketch_events_total" in want
+        assert {name: set(got[name]) for name in got} == {name: set(want[name]) for name in want}
+
+        def seen(series):
+            events = series["repro_sketch_events_total"]
+            return sum(events[(("result", r),)]["value"] for r in ("unique", "duplicate"))
+
+        assert seen(got) == seen(want) > 0
 
     def test_sharded_stream_publishes_what_a_single_engine_does(self):
         # Regression: the driver's own copy of the engine's accounting

@@ -35,7 +35,7 @@ from repro.logstore import EntryBlock
 from repro.netmodel.world import NameStatus
 from repro.sensor import ReorderFront
 from repro.sensor.collection import dedup_entries
-from repro.sensor.directory import QuerierInfo, StaticDirectory
+from repro.sensor.directory import FrozenDirectory, QuerierInfo
 from repro.sensor.engine import SensorConfig, SensorEngine
 from repro.sensor.selection import analyzable
 from repro.sensor.streaming import StreamingCollector
@@ -282,12 +282,10 @@ class TestNonFiniteTimestamps:
 
     def test_federated_feed_continues(self):
         rows, bad = clean_rows(), poisoned(clean_rows())
-        directory = StaticDirectory(
-            {
-                q: QuerierInfo(addr=q, name=f"host{q}.example.net",
-                               status=NameStatus.OK, asn=q % 5 + 1, country="jp")
-                for q in range(100, 140)
-            }
+        directory = FrozenDirectory(
+            QuerierInfo(addr=q, name=f"host{q}.example.net",
+                        status=NameStatus.OK, asn=q % 5 + 1, country="jp")
+            for q in range(100, 140)
         )
         config = SensorConfig(window_seconds=100.0, min_queriers=3)
 

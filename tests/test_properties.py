@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
-import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.dnssim.hierarchy import RootAffinity
@@ -38,14 +37,6 @@ class TestKeywordMatcherProperties:
     @given(st.text(max_size=40))
     def test_never_crashes_on_arbitrary_text(self, text):
         assert classify_name(text) in STATIC_CATEGORIES
-
-    @given(st.one_of(hostname, st.text(max_size=40)))
-    def test_memo_is_the_rule(self, name):
-        # Twice: the first call may fill the memo, the second reads it.
-        assert classify_name(name) == classify_name.__wrapped__(name)
-        assert classify_name(name) == classify_name.__wrapped__(name)
-        maxsize = classify_name.cache_info().maxsize
-        assert maxsize is not None and maxsize >= 65536
 
 
 class TestRootAffinityProperties:

@@ -11,12 +11,7 @@ from repro.dnssim.message import QueryLogEntry
 from repro.netmodel.world import NameStatus
 from repro.sensor.collection import ObservationWindow, OriginatorObservation
 from repro.datasets import read_directory, write_directory
-from repro.sensor.directory import (
-    EnrichmentCache,
-    FrozenDirectory,
-    QuerierInfo,
-    StaticDirectory,
-)
+from repro.sensor.directory import EnrichmentCache, FrozenDirectory, QuerierInfo
 from repro.sensor.dynamic import (
     DYNAMIC_FEATURE_NAMES,
     WindowContext,
@@ -29,17 +24,22 @@ from repro.sensor.features import (
     features_from_selected,
 )
 from repro.sensor.engine import SensorConfig, SensorEngine
-from repro.sensor.keywords import classify_name
 from repro.sensor.selection import analyzable
+from repro.sensor.keywords import STATIC_CATEGORIES
 from repro.sensor.static import STATIC_FEATURE_NAMES, static_features
 
 
 def make_directory(specs: dict[int, tuple[str | None, int | None, str | None]]):
-    directory = StaticDirectory()
-    for addr, (name, asn, country) in specs.items():
-        status = NameStatus.OK if name else NameStatus.NXDOMAIN
-        directory.add(QuerierInfo(addr=addr, name=name, status=status, asn=asn, country=country))
-    return directory
+    return FrozenDirectory(
+        QuerierInfo(
+            addr=addr,
+            name=name,
+            status=NameStatus.OK if name else NameStatus.NXDOMAIN,
+            asn=asn,
+            country=country,
+        )
+        for addr, (name, asn, country) in specs.items()
+    )
 
 
 def observation(originator: int, queries: list[tuple[float, int]]):
@@ -93,7 +93,7 @@ class TestStaticFeatures:
 
     def test_empty_observation_rejected(self):
         with pytest.raises(ValueError):
-            static_features(OriginatorObservation(originator=1), StaticDirectory())
+            static_features(OriginatorObservation(originator=1), FrozenDirectory([]))
 
 
 class TestDynamicFeatures:
@@ -187,7 +187,7 @@ class TestExtractFeatures:
         assert features.matrix.shape == (1, len(FEATURE_NAMES))
 
     def test_empty_window(self):
-        features = extract_features(window_with([]), StaticDirectory())
+        features = extract_features(window_with([]), FrozenDirectory([]))
         assert len(features) == 0
         assert features.matrix.shape == (0, len(FEATURE_NAMES))
 
@@ -276,7 +276,7 @@ class TestEmptyObservationSkip:
     def test_scalar_paths_still_raise(self):
         empty = OriginatorObservation(originator=1)
         window = window_with([empty])
-        directory = StaticDirectory()
+        directory = FrozenDirectory([])
         context = WindowContext.from_window(window, directory)
         with pytest.raises(ValueError):
             static_features(empty, directory)
@@ -321,22 +321,17 @@ class TestFeatureSetOrdering:
 
 class TestParallelFeaturize:
     def test_cache_is_window_scoped_not_global(self):
-        # Mutating the directory between featurize calls must be picked
-        # up: each call builds a fresh window-scoped cache.
-        directory = make_directory({1: ("mail.a.com", 1, "us"), 2: ("mx.b.com", 2, "jp")})
+        # A second directory that renames querier 1 must be picked up:
+        # each call builds a fresh window-scoped cache, and no state
+        # outlives it.
         obs = observation(50, [(0.0, 1), (1.0, 2)])
         window = window_with([obs])
-        before = features_from_selected(window, [obs], directory)
-        directory.add(
-            QuerierInfo(
-                addr=1,
-                name="firewall.a.com",
-                status=NameStatus.OK,
-                asn=1,
-                country="us",
-            )
+        before = features_from_selected(
+            window, [obs], make_directory({1: ("mail.a.com", 1, "us"), 2: ("mx.b.com", 2, "jp")})
         )
-        after = features_from_selected(window, [obs], directory)
+        after = features_from_selected(
+            window, [obs], make_directory({1: ("firewall.a.com", 1, "us"), 2: ("mx.b.com", 2, "jp")})
+        )
         names = dict(zip(FEATURE_NAMES, before.matrix[0]))
         renames = dict(zip(FEATURE_NAMES, after.matrix[0]))
         assert names["static_mail"] == pytest.approx(1.0)
@@ -344,22 +339,28 @@ class TestParallelFeaturize:
         assert renames["static_fw"] == pytest.approx(0.5)
 
     def test_explicit_cache_snapshot_ignores_mutation(self):
-        # The flip side: within one window, a shared cache is a snapshot.
-        directory = make_directory({1: ("mail.a.com", 1, "us")})
+        # A directory copies its rows when built: changing the rows it
+        # was built from, between two featurize calls that share one
+        # cache, changes nothing, and its columns refuse writes.
+        rows = [QuerierInfo(addr=1, name="mail.a.com", status=NameStatus.OK, asn=1, country="us")]
+        directory = FrozenDirectory(rows)
         cache = EnrichmentCache(directory)
         obs = observation(50, [(0.0, 1)])
         window = window_with([obs])
         before = features_from_selected(window, [obs], cache)
-        directory.add(
-            QuerierInfo(
-                addr=1, name="firewall.a.com", status=NameStatus.OK, asn=1, country="us"
-            )
+        hits = cache.hits
+        rows[0] = QuerierInfo(
+            addr=1, name="firewall.a.com", status=NameStatus.OK, asn=1, country="us"
         )
+        _, categories, _, _ = directory.columns
+        with pytest.raises(ValueError):
+            categories[0] = 0
         after = features_from_selected(window, [obs], cache)
         np.testing.assert_array_equal(before.matrix, after.matrix)
+        assert cache.hits == 2 * hits > 0
 
 
-_MEMO_NAMES = (
+_NAME_PATTERNS = (
     "mail{}.a.com", "ns{}.b.net", "www{}.c.org", "fw{}.d.jp",
     "x{}.cloudapp.net", "plain{}.example", None,
 )
@@ -370,7 +371,7 @@ def named_window(sketch: bool):
     ``(directory, window, selected)``."""
     rng = np.random.default_rng(3)
     queriers = range(1000, 1400)
-    patterns = [_MEMO_NAMES[q % len(_MEMO_NAMES)] for q in queriers]
+    patterns = [_NAME_PATTERNS[q % len(_NAME_PATTERNS)] for q in queriers]
     directory = make_directory(
         {
             q: (pattern and pattern.format(q), 1 + q % 7, ("jp", "us", "de")[q % 3])
@@ -398,23 +399,7 @@ def named_window(sketch: bool):
     return directory, window, selected
 
 
-class TestKeywordMemo:
-    """The per-process ``classify_name`` memo never changes a feature row."""
-
-    @pytest.mark.parametrize("sketch", [False, True], ids=["exact", "sketch"])
-    def test_cold_and_warm_memo_featurize_identically(self, sketch):
-        directory, window, selected = named_window(sketch)
-        classify_name.cache_clear()
-        cold = features_from_selected(window, selected, directory)
-        assert classify_name.cache_info().misses > 0
-        hits = classify_name.cache_info().hits
-        warm = features_from_selected(window, selected, directory)
-        assert classify_name.cache_info().hits > hits
-        assert np.array_equal(cold.matrix, warm.matrix)
-        assert np.array_equal(cold.originators, warm.originators)
-
-
-def frozen_copy(directory: StaticDirectory, addrs, tmp_path) -> FrozenDirectory:
+def frozen_copy(directory: FrozenDirectory, addrs, tmp_path) -> FrozenDirectory:
     """*directory*'s rows for *addrs*, written and read back as a file."""
     path = tmp_path / "queriers.jsonl"
     write_directory(path, (directory.lookup(addr) for addr in addrs))
@@ -422,45 +407,73 @@ def frozen_copy(directory: StaticDirectory, addrs, tmp_path) -> FrozenDirectory:
 
 
 class TestFrozenDirectory:
-    """A directory file is enriched once, at load, and featurizes the same."""
+    """A directory is enriched once, when built, wherever its rows come from."""
 
     @pytest.mark.parametrize("sketch", [False, True], ids=["exact", "sketch"])
     def test_features_equal_a_static_directory_of_the_same_rows(self, sketch, tmp_path):
+        # The same rows, built in memory and read back from a file,
+        # featurize byte-identically.  A few queriers are left out of
+        # both: they read the NXDOMAIN row in each.
         directory, window, selected = named_window(sketch)
-        # Leave a few queriers out of the file: they resolve as NXDOMAIN
-        # through lookup, in both directories.
         listed = [q for q in range(1000, 1400) if q % 50]
         frozen = frozen_copy(directory, listed, tmp_path)
-        unlisted = StaticDirectory({q: directory.lookup(q) for q in listed})
-        static = features_from_selected(window, selected, unlisted)
+        in_memory = FrozenDirectory(directory.lookup(q) for q in listed)
+        static = features_from_selected(window, selected, in_memory)
         loaded = features_from_selected(window, selected, frozen)
         assert static.matrix.tobytes() == loaded.matrix.tobytes()
         assert np.array_equal(static.originators, loaded.originators)
         assert static.context == loaded.context
 
-    def test_fresh_cache_makes_no_lookup_for_listed_queriers(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("sketch", [False, True], ids=["exact", "sketch"])
+    def test_a_file_featurizes_like_the_scalar_reference(self, sketch, tmp_path):
+        directory, window, selected = named_window(sketch)
+        # Leave a few queriers out of the file: they read the NXDOMAIN
+        # row in the columns, and look up as NXDOMAIN in the reference.
+        frozen = frozen_copy(directory, [q for q in range(1000, 1400) if q % 50], tmp_path)
+        features = features_from_selected(window, selected, frozen)
+        assert len(features) == len(selected)
+        reference = np.vstack([feature_vector(o, frozen, features.context) for o in selected])
+        np.testing.assert_allclose(features.matrix, reference, atol=1e-12)
+
+    def test_fresh_cache_makes_no_lookup_for_listed_queriers(self, monkeypatch):
+        from repro.sensor import directory as directory_mod
+
         directory, window, selected = named_window(False)
-        frozen = frozen_copy(directory, range(1000, 1400), tmp_path)
-        looked_up = []
-        real_lookup = FrozenDirectory.lookup
+        called = []
         monkeypatch.setattr(
-            FrozenDirectory, "lookup",
-            lambda self, addr: looked_up.append(addr) or real_lookup(self, addr),
+            FrozenDirectory, "lookup", lambda self, addr: called.append(addr)
         )
-        classify_name.cache_clear()
-        cache = EnrichmentCache(frozen)
+        monkeypatch.setattr(
+            directory_mod, "classify_querier", lambda *args: called.append(args)
+        )
+        cache = EnrichmentCache(directory)
         context = WindowContext.from_window(window, cache)
         features = features_from_selected(window, selected, cache, context=context)
         assert len(features) == len(selected)
-        assert looked_up == []
-        assert cache.misses == 0 and cache.built == 0
-        assert cache.hits > 0
-        # The scalar view reads the same columns.
-        assert cache.resolve(1002).category == "ns" and looked_up == []
-        # Load-time classification leaves the per-process memo alone.
-        assert classify_name.cache_info().currsize == 0
-        # An unlisted address is the one that goes to the directory.
-        assert cache.resolve(99).category == "nxdomain" and looked_up == [99]
+        assert called == []
+        assert cache.misses == 0 and cache.hits > 0
+
+    def test_an_unlisted_address_reads_the_nxdomain_row(self):
+        directory, _, _ = named_window(False)
+        cache = EnrichmentCache(directory)
+        categories, asns, countries = cache.codes(np.array([99, 1002, 5000]))
+        assert [STATIC_CATEGORIES[c] for c in categories] == ["nxdomain", "ns", "nxdomain"]
+        assert asns.tolist() == [-1, 1 + 1002 % 7, -1]
+        assert cache.country_names(countries[1:2]) == [("jp", "us", "de")[1002 % 3]]
+        assert countries[0] == countries[2] == -1
+        assert (cache.hits, cache.misses) == (1, 2)
+        assert cache.lookup(99) == QuerierInfo(99, None, NameStatus.NXDOMAIN, None, None)
+
+    def test_an_address_listed_twice_keeps_its_last_row(self):
+        first = QuerierInfo(7, "mail.a.com", NameStatus.OK, 1, "us")
+        last = QuerierInfo(7, "fw.a.com", NameStatus.OK, 2, "jp")
+        directory = FrozenDirectory([first, QuerierInfo(3, None, NameStatus.NXDOMAIN, None, None), last])
+        assert len(directory) == 2
+        assert directory.lookup(7) == last
+        categories, asns, countries = EnrichmentCache(directory).codes(np.array([7]))
+        assert STATIC_CATEGORIES[categories[0]] == "fw"
+        assert asns.tolist() == [2]
+        assert directory.countries[countries[0]] == "jp"
 
     def test_lookup_returns_the_rows_it_was_built_from(self, tmp_path):
         directory, _, _ = named_window(False)
@@ -468,5 +481,5 @@ class TestFrozenDirectory:
         assert len(frozen) == 400
         for addr in range(990, 1410):
             assert frozen.lookup(addr) == directory.lookup(addr)
-        addrs, _, _, _ = frozen.columns
-        assert not addrs.flags.writeable
+        for column in frozen.columns:
+            assert not column.flags.writeable

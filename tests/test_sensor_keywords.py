@@ -159,7 +159,7 @@ class TestCompiledRules:
     @example("AKAMAI.NET.")  # a name that is a suffix, whole
     @example("x.notamazonaws.com")  # a suffix that is not at a label boundary
     def test_compiled_rules_equal_the_token_loop(self, name):
-        assert classify_name.__wrapped__(name) == paper_classify_name(name)
+        assert classify_name(name) == paper_classify_name(name)
 
     @given(_COMPONENTS)
     def test_component_category_equals_the_token_loop(self, component):

@@ -130,10 +130,10 @@ def trained_engine(small_world):
             engine.add(campaign)
             truth[campaign.originator] = app_class
     engine.run(0.0, 2 * 86400.0)
-    from repro.sensor import WorldDirectory
+    from repro.sensor import world_directory
 
     trained = SensorEngine(
-        WorldDirectory(small_world), SensorConfig(majority_runs=3)
+        world_directory(small_world), SensorConfig(majority_runs=3)
     )
     features = trained.featurize(
         trained.collect(list(sensor.log), 0.0, 2 * 86400.0)
@@ -170,9 +170,9 @@ class TestPipeline:
         assert engine.classify_map(features) == engine.classify_map(features)
 
     def test_unfitted_engine_raises(self, small_world):
-        from repro.sensor import WorldDirectory
+        from repro.sensor import world_directory
 
-        engine = SensorEngine(WorldDirectory(small_world))
+        engine = SensorEngine(world_directory(small_world))
         with pytest.raises(RuntimeError):
             engine.classify_map(
                 __import__("repro.sensor", fromlist=["FeatureSet"]).FeatureSet(
@@ -184,9 +184,9 @@ class TestPipeline:
             )
 
     def test_fit_requires_overlap(self, trained_engine, small_world):
-        from repro.sensor import WorldDirectory
+        from repro.sensor import world_directory
 
-        engine = SensorEngine(WorldDirectory(small_world))
+        engine = SensorEngine(world_directory(small_world))
         _, features, _, _ = trained_engine
         stranger = LabeledSet.from_pairs([(1, "spam")])
         with pytest.raises(ValueError):

@@ -18,7 +18,7 @@ from repro.logstore import EntryBlock
 from repro.netmodel.world import NameStatus
 from repro.sensor.collection import ObservationWindow
 from repro.sensor.curation import LabeledSet
-from repro.sensor.directory import QuerierInfo, StaticDirectory
+from repro.sensor.directory import FrozenDirectory, QuerierInfo
 from repro.sensor.engine import (
     ClassifiedOriginator,
     SensedWindow,
@@ -37,18 +37,16 @@ def entry(ts: float, querier: int = 1, originator: int = 2) -> QueryLogEntry:
 COUNTRIES = ("jp", "us", "de")
 
 
-def directory_for(queriers: range) -> StaticDirectory:
-    return StaticDirectory(
-        {
-            q: QuerierInfo(
-                addr=q,
-                name=f"host{q}.example.net",
-                status=NameStatus.OK,
-                asn=q % 5 + 1,
-                country=COUNTRIES[q % len(COUNTRIES)],
-            )
-            for q in queriers
-        }
+def directory_for(queriers: range) -> FrozenDirectory:
+    return FrozenDirectory(
+        QuerierInfo(
+            addr=q,
+            name=f"host{q}.example.net",
+            status=NameStatus.OK,
+            asn=q % 5 + 1,
+            country=COUNTRIES[q % len(COUNTRIES)],
+        )
+        for q in queriers
     )
 
 

@@ -29,7 +29,7 @@ from repro.ml import ForestConfig, RandomForestClassifier
 from repro.netmodel.addressing import ip_to_reverse_name, ip_to_str
 from repro.netmodel.world import NameStatus
 from repro.sensor.curation import LabeledSet
-from repro.sensor.directory import QuerierInfo, StaticDirectory
+from repro.sensor.directory import FrozenDirectory, QuerierInfo
 from repro.sensor.engine import SensorConfig, SensorEngine
 from repro.service import BackscatterService, ServiceConfig
 
@@ -43,18 +43,16 @@ def entry(ts: float, querier: int, originator: int) -> QueryLogEntry:
 COUNTRIES = ("jp", "us", "de")
 
 
-def directory_for(queriers: range) -> StaticDirectory:
-    return StaticDirectory(
-        {
-            q: QuerierInfo(
-                addr=q,
-                name=f"host{q}.example.net",
-                status=NameStatus.OK,
-                asn=q % 5 + 1,
-                country=COUNTRIES[q % len(COUNTRIES)],
-            )
-            for q in queriers
-        }
+def directory_for(queriers: range) -> FrozenDirectory:
+    return FrozenDirectory(
+        QuerierInfo(
+            addr=q,
+            name=f"host{q}.example.net",
+            status=NameStatus.OK,
+            asn=q % 5 + 1,
+            country=COUNTRIES[q % len(COUNTRIES)],
+        )
+        for q in queriers
     )
 
 

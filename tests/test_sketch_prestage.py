@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from repro.dnssim.message import QueryLogEntry
 from repro.logstore import EntryBlock
 from repro.netmodel.world import NameStatus
-from repro.sensor.directory import QuerierInfo, StaticDirectory
+from repro.sensor.directory import FrozenDirectory, QuerierInfo
 from repro.sensor.engine import SensorConfig, SensorEngine
 from repro.sensor.selection import analyzable
 from repro.sketch.hll import HllBank
@@ -50,18 +50,16 @@ def synthetic_entries(
     return [QueryLogEntry(timestamp=t, querier=q, originator=o) for t, q, o in events]
 
 
-def directory_for(entries: list[QueryLogEntry]) -> StaticDirectory:
-    return StaticDirectory(
-        {
-            e.querier: QuerierInfo(
-                addr=e.querier,
-                name=f"host{e.querier}.example.net",
-                status=NameStatus.OK,
-                asn=1 + e.querier % 5,
-                country="jp" if e.querier % 2 else "us",
-            )
-            for e in entries
-        }
+def directory_for(entries: list[QueryLogEntry]) -> FrozenDirectory:
+    return FrozenDirectory(
+        QuerierInfo(
+            addr=e.querier,
+            name=f"host{e.querier}.example.net",
+            status=NameStatus.OK,
+            asn=1 + e.querier % 5,
+            country="jp" if e.querier % 2 else "us",
+        )
+        for e in entries
     )
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.dnssim.message import QueryLogEntry
 from repro.logstore import EntryBlock
-from repro.sensor.engine import SensorEngine
+from repro.sensor.engine import SensorConfig, SensorEngine
 from repro.sensor.streaming import StreamingCollector
 
 
@@ -42,13 +42,17 @@ class TestWindowing:
         assert collector.pending_windows == 0
 
     def test_callback_invoked(self):
+        # The window-close hook is the engine's: one call per closed window.
         seen = []
-        collector = StreamingCollector(
-            window_seconds=50.0, reorder_slack=0.0, on_window=seen.append
+        engine = SensorEngine(
+            config=SensorConfig(window_seconds=50.0, reorder_slack=0.0)
         )
-        collector.ingest_block(event(0.0))
-        collector.ingest_block(event(60.0))
-        assert len(seen) == 1
+        engine.on_window(seen.append)
+        engine.ingest_block(event(0.0))
+        engine.ingest_block(event(60.0))
+        sensed = engine.poll()
+        assert len(seen) == 1 and seen == sensed
+        assert (seen[0].window.start, seen[0].window.end) == (0.0, 50.0)
 
     def test_window_alignment_with_origin(self):
         collector = StreamingCollector(window_seconds=100.0, origin=1000.0)
