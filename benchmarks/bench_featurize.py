@@ -15,6 +15,9 @@ measurement re-runs the cached mode with a live
 :class:`repro.telemetry.MetricsRegistry` installed and reports the
 overhead of active telemetry (``--assert-overhead PCT`` turns it into
 a pass/fail gate; ``--metrics-out`` writes the collected snapshot).
+The overhead is the median over many off-on-on-off rounds of each
+round's on/off time ratio, so host drift cancels within a round instead
+of landing on one side.
 Run from the repo root::
 
     PYTHONPATH=src python benchmarks/bench_featurize.py --quick
@@ -52,6 +55,24 @@ def _best_of(rounds: int, run) -> tuple[float, object]:
         result = run()
         best = min(best, time.perf_counter() - t0)
     return best, result
+
+
+def _overhead_ratios(rounds: int, off, on) -> list[float]:
+    """Per-round on/off wall-time ratios, each round timed off, on, on, off.
+
+    The mirrored order runs each side first and last equally often, so
+    neither pays for going first, and a slow patch of the host that
+    spans a round lands on both sides.
+    """
+    ratios = []
+    for _ in range(rounds):
+        seconds = {off: 0.0, on: 0.0}
+        for run in (off, on, on, off):
+            t0 = time.perf_counter()
+            run()
+            seconds[run] += time.perf_counter() - t0
+        ratios.append(seconds[on] / seconds[off])
+    return ratios
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -130,25 +151,25 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{name:>8}: {seconds:.3f}s  {rows / seconds:,.0f} rows/s", flush=True)
 
     # Telemetry overhead: the cached mode again, now with a registry
-    # installed so every span/observe hook does real work.  Best-of-N
-    # on both sides keeps scheduler noise out of the comparison.
+    # installed so every span/observe hook does real work.  One call
+    # takes a few ms, so best-of-N of each side apart moved with the
+    # host by more than the budget; the median of paired ratios does not.
     registry = MetricsRegistry()
 
     def run_cached_live() -> np.ndarray:
         with use_registry(registry):
             return features_from_selected(window, selected, directory).matrix
 
-    overhead_rounds = max(args.rounds, 5)
-    base_seconds, _ = _best_of(overhead_rounds, run_cached)
-    live_seconds, live_matrix = _best_of(overhead_rounds, run_cached_live)
-    overhead_pct = (live_seconds / base_seconds - 1.0) * 100.0
+    ratios = _overhead_ratios(301, run_cached, run_cached_live)
+    overhead_pct = (float(np.median(ratios)) - 1.0) * 100.0
+    live_seconds, live_matrix = _best_of(args.rounds, run_cached_live)
     modes["cached_telemetry"] = {
         "seconds": round(live_seconds, 6),
         "rows_per_s": round(rows / live_seconds, 2),
     }
     print(
-        f"telemetry: {base_seconds:.3f}s off, {live_seconds:.3f}s on "
-        f"({overhead_pct:+.2f}%)",
+        f"telemetry: {overhead_pct:+.2f}% (median on/off ratio of "
+        f"{len(ratios)} off-on-on-off rounds)",
         flush=True,
     )
     if not np.array_equal(matrices["cached"], live_matrix):

@@ -440,7 +440,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             # keeps --chunk meaning "events per replay step".
             await service.drain()
         print(f"replayed {len(entries):,} events "
-              f"({service.windows_total} windows closed)", flush=True)
+              f"({service.health()['windows']} windows closed)", flush=True)
         if args.once:
             service.request_shutdown()
         await service.wait_shutdown()

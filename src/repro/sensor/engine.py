@@ -375,13 +375,15 @@ class SensorEngine:
         of the window's pre-stage, or their sum over a sharded window's
         shards.  The gate counts are batch-only (see there).
         """
+        results = ("unique", "duplicate", "deferred")
         if "gate_kept" in counters:
             help_gate = "Originators through the approximate analyzability gate."
             for result in ("kept", "dropped"):
                 count("repro_sketch_gate_originators_total", counters[f"gate_{result}"],
                       help=help_gate, result=result)
+            results += ("gated",)
         help_events = "Events through the sketch pre-stage, by outcome."
-        for result in ("unique", "duplicate", "deferred"):
+        for result in results:
             count("repro_sketch_events_total", counters[f"events_{result}"],
                   help=help_events, result=result)
         help_resolver = ("Streaming promotion-resolver outcomes per "
@@ -645,12 +647,6 @@ class SensorEngine:
                 dropped=collector.stats.deduplicated + gated_events,
                 seconds=window_span.elapsed,
             )
-            if sketch and get_registry() is not None:
-                count(
-                    "repro_sketch_events_total", gated_events,
-                    help="Events through the sketch pre-stage, by outcome.",
-                    result="gated",
-                )
         return windows
 
     def _sketch_gate(
@@ -683,7 +679,9 @@ class SensorEngine:
                 timestamps[lo:hi], queriers[lo:hi], originators[lo:hi]
             )
             prestages[int(window_index)] = prestage
-            survivors[lo:hi] = np.isin(originators[lo:hi], prestage.survivors())
+            keep = np.isin(originators[lo:hi], prestage.survivors())
+            prestage.events_gated = (hi - lo) - int(np.count_nonzero(keep))
+            survivors[lo:hi] = keep
         return prestages, survivors
 
     @staticmethod

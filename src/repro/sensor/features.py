@@ -34,7 +34,6 @@ from repro.sensor.dynamic import (
 from repro.sensor.keywords import STATIC_CATEGORIES
 from repro.sensor.selection import ANALYZABLE_THRESHOLD, analyzable
 from repro.sensor.static import STATIC_FEATURE_NAMES, static_features
-from repro.telemetry import span as _tspan
 
 __all__ = [
     "FEATURE_NAMES",
@@ -292,8 +291,7 @@ def features_from_selected(
         context = WindowContext.from_window(window, cache)
     originators = np.array([o.originator for o in kept], dtype=np.int64)
     footprints = np.array([o.footprint for o in kept], dtype=np.int64)
-    with _tspan("featurize.matrix"):
-        matrix = _feature_matrix(kept, cache, context)
+    matrix = _feature_matrix(kept, cache, context)
     return FeatureSet(
         originators=originators,
         matrix=matrix,

@@ -2,7 +2,7 @@
 
 One :class:`ServiceConfig` gathers every service knob — bind address,
 feed source and format, shard fan-out, retraining strategy, alerting
-thresholds, window callback — validated eagerly in ``__post_init__``
+thresholds — validated eagerly in ``__post_init__``
 exactly like :class:`~repro.sensor.engine.SensorConfig`, so a service
 never starts half-configured.  The sensor itself is configured through
 the embedded ``sensor`` field; the service adds only what a live
@@ -14,7 +14,6 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
 
 from repro.sensor.engine import SensorConfig
 from repro.sensor.training import Strategy
@@ -108,9 +107,6 @@ class ServiceConfig:
     alert_min_relative: float = 0.2
     """Relative-increase floor for alerting (see ``SurgeDetector``)."""
 
-    on_window: Callable[[object], None] | None = None
-    """Optional extra window-close callback (after the service's own)."""
-
     def __post_init__(self) -> None:
         if not isinstance(self.sensor, SensorConfig):
             raise ValueError("sensor must be a SensorConfig")
@@ -143,8 +139,6 @@ class ServiceConfig:
         if self.alert_min_relative < 0:
             raise ValueError("alert_min_relative must be non-negative")
         object.__setattr__(self, "alert_classes", tuple(self.alert_classes))
-        if self.on_window is not None and not callable(self.on_window):
-            raise ValueError("on_window must be callable")
 
     def replaced(self, **overrides: object) -> "ServiceConfig":
         """A copy with the given fields replaced (re-validated)."""

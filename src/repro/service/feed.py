@@ -30,7 +30,10 @@ from repro.datasets.dnstap import (
 from repro.datasets.io import decode_text_lines
 from repro.logstore import EntryBlock
 
-__all__ = ["FeedError", "FeedReader"]
+__all__ = ["FEED_ERROR_REASONS", "FeedError", "FeedReader"]
+
+#: Why a feed lost its framing (:attr:`FeedError.reason`).
+FEED_ERROR_REASONS = ("frame", "truncated")
 
 
 class FeedError(ValueError):

@@ -31,10 +31,11 @@ from repro.sensor.curation import LabeledSet
 from repro.sensor.engine import SensedWindow, default_forest_factory
 from repro.sensor.training import Strategy, enough_to_train, labeled_rows
 
-__all__ = ["ModelManager", "TrainedModel"]
+__all__ = ["SWAP_OUTCOMES", "ModelManager", "TrainedModel"]
 
-#: ``apply_pending`` outcomes, in telemetry label order.
-SWAP_OUTCOMES = ("none", "swapped", "rejected", "failed", "skipped")
+#: What became of a candidate model: ``apply_pending`` returns one of the
+#: first three (or ``"none"``), ``observe_window`` reports ``"skipped"``.
+SWAP_OUTCOMES = ("swapped", "rejected", "failed", "skipped")
 
 
 @dataclass(frozen=True, slots=True)
@@ -47,8 +48,6 @@ class TrainedModel:
     voter: MajorityVoter
     """Fitted on ``(X, y)`` with the manager's factory, runs and seed."""
     version: int
-    source_end: float
-    """End timestamp of the window whose features trained this model."""
 
 
 class ModelManager:
@@ -87,8 +86,6 @@ class ModelManager:
         self.seed = seed
         self.majority_runs = majority_runs
         self.version = 0
-        self.fits_started = 0
-        self.fits_skipped = 0
         self._pending: Future[TrainedModel | None] | None = None
         self._executor: ThreadPoolExecutor | None = None
 
@@ -121,18 +118,13 @@ class ModelManager:
         else:
             labels = self.labeled
         if self._pending is not None and not self._pending.done():
-            self.fits_skipped += 1
             return "skipped"
-        end = float(sensed.window.end)
         version = self.version + 1
-        self.fits_started += 1
-        self._pending = self._ensure_executor().submit(
-            self._build, features, labels, version, end
-        )
+        self._pending = self._ensure_executor().submit(self._build, features, labels, version)
         return "scheduled"
 
     def _build(
-        self, features: object, labels: LabeledSet, version: int, end: float
+        self, features: object, labels: LabeledSet, version: int
     ) -> TrainedModel | None:
         encoder = LabelEncoder()
         X, y, _ = labeled_rows(features, labels, encoder)
@@ -142,18 +134,15 @@ class ModelManager:
         # anywhere near the serving engine, which predicts with this voter.
         voter = fit_majority_vote(self.factory, X, y, self.majority_runs, self.seed)
         voter.predict(X[:1])
-        return TrainedModel(
-            X=X, y=y, encoder=encoder, voter=voter, version=version, source_end=end
-        )
+        return TrainedModel(X=X, y=y, encoder=encoder, voter=voter, version=version)
 
     # -- hand-over ------------------------------------------------------
 
     def apply_pending(self, engine: object) -> str:
         """Install a finished candidate, if any; called between windows.
 
-        Returns one of :data:`SWAP_OUTCOMES` minus ``"skipped"``:
-        ``"none"`` (nothing finished), ``"rejected"`` (candidate failed
-        the § V-B training gate), ``"failed"`` (fit raised), or
+        Returns ``"none"`` (nothing finished), ``"rejected"`` (candidate
+        failed the § V-B training gate), ``"failed"`` (fit raised), or
         ``"swapped"`` (the engine now classifies with the new model).
         """
         if self._pending is None or not self._pending.done():

@@ -24,9 +24,11 @@ executor) and installed by :meth:`ModelManager.apply_pending` only
 inside ``poll()``, every window's verdicts come from one complete model
 and no event is dropped while models change.
 
-A step that raises (a bad ``on_window`` hook, say) is logged and counted,
-``/healthz`` turns ``"degraded"``, and the pump carries on with the next
-step: one failure must not wedge ``drain()``/``stop()``.
+A step that raises (a bad ``engine.on_window`` hook, say) is logged and
+counted, ``/healthz`` turns ``"degraded"``, and the pump carries on with
+the next step: one failure must not wedge ``drain()``/``stop()``.
+``/healthz`` reads the engine's stage ledger and the ``repro_service_*``
+instruments, so it cannot disagree with ``/metrics``.
 """
 
 from __future__ import annotations
@@ -46,10 +48,10 @@ from repro.netmodel.addressing import ip_to_str
 from repro.sensor.engine import SECONDS_PER_DAY, SensedWindow, SensorEngine
 from repro.sensor.training import Strategy
 from repro.service.config import ServiceConfig
-from repro.service.feed import FeedError, FeedReader
+from repro.service.feed import FEED_ERROR_REASONS, FeedError, FeedReader
 from repro.service.http import HttpServer, json_response
-from repro.service.manager import ModelManager
-from repro.telemetry import MetricsRegistry, count, set_gauge, use_registry
+from repro.service.manager import SWAP_OUTCOMES, ModelManager
+from repro.telemetry import MetricsRegistry
 
 if TYPE_CHECKING:
     from repro.logstore import EntryBlock
@@ -88,9 +90,7 @@ class BackscatterService:
             registry=self.registry,
         )
         self.manager: ModelManager | None = None
-        self._unsubscribes = [self.engine.on_window(self._handle_window)]
-        if self.config.on_window is not None:
-            self._unsubscribes.append(self.engine.on_window(self.config.on_window))
+        self.engine.on_window(self._handle_window)
         self._detectors = {
             app_class: SurgeDetector(
                 app_class,
@@ -105,18 +105,41 @@ class BackscatterService:
         self._state_lock = threading.Lock()
         self._windows: deque[dict] = deque(maxlen=self.config.verdict_history)
         self._alerts: deque[dict] = deque(maxlen=self.config.verdict_history)
-        # (windows_total it was encoded at, the /verdicts response)
-        self._verdicts_cache: tuple[int, tuple[int, str, bytes]] | None = None
-        self.windows_total = 0
-        self.events_total = 0
-        self.verdicts_total = 0
-        self.alerts_total = 0
+        # (the newest window record it encodes, the /verdicts response)
+        self._verdicts_cache: tuple[dict | None, tuple[int, str, bytes]] | None = None
         self.queued_events = 0
-        self.feed_bad_lines = 0
-        self.feed_errors = 0
-        self.step_errors = 0
         self.last_step_error: str | None = None
-        self.swap_outcomes: TallyCounter[str] = TallyCounter()
+        counter, gauge = self.registry.counter, self.registry.gauge
+        self._pump_steps = counter("repro_service_pump_steps_total",
+                                   "Engine steps taken by the pump.")
+        self._pump_blocks = counter("repro_service_pump_blocks_total",
+                                    "Feed blocks taken by the pump (÷ steps = batching).")
+        self._step_errors = counter("repro_service_step_errors_total",
+                                    "Engine steps that raised.")
+        self._swaps = counter("repro_service_swap_total",
+                              "Model hot-swap attempts by outcome.", labels=("outcome",))
+        self._alert_count = counter("repro_service_alerts_total",
+                                    "Surge alerts raised.", labels=("app_class",))
+        self._feed_connections = counter("repro_service_feed_connections_total",
+                                         "Feed socket connections accepted.")
+        self._feed_bad_lines = counter("repro_service_feed_bad_lines_total",
+                                       "Feed text lines skipped because they did not parse.")
+        self._feed_errors = counter("repro_service_feed_errors_total",
+                                    "Feeds ended because their framing was lost.",
+                                    labels=("reason",))
+        self._http_requests = counter("repro_service_http_requests_total",
+                                      "HTTP requests served.", labels=("endpoint", "status"))
+        self._queue_gauge = gauge("repro_service_queue_events",
+                                  "Events still queued when the last step began.")
+        self._lag_gauge = gauge("repro_service_feed_lag_seconds",
+                                "Newest feed timestamp minus last closed window end.")
+        # Each labelled series a fact can land in exports 0 from the start.
+        for outcome in SWAP_OUTCOMES:
+            self._swaps.inc(0, outcome=outcome)
+        for app_class in self._detectors:
+            self._alert_count.inc(0, app_class=app_class)
+        for reason in FEED_ERROR_REASONS:
+            self._feed_errors.inc(0, reason=reason)
         self._newest_ts: float | None = None
         self._last_window_end: float | None = None
         self._queue: asyncio.Queue["EntryBlock"] | None = None
@@ -273,6 +296,7 @@ class BackscatterService:
             self.manager.wait_pending()
             self._record_swap(self.manager.apply_pending(self.engine))
         await self._run_step(self.engine.finish)
+        self._update_lag()
         await self._http.stop()
         if self.manager is not None:
             self.manager.close()
@@ -302,12 +326,9 @@ class BackscatterService:
                 blocks.append(queue.get_nowait())
                 held += len(blocks[-1])
             self.queued_events -= held
-            self._count("repro_service_pump_steps_total", 1,
-                        help="Engine steps taken by the pump.")
-            self._count("repro_service_pump_blocks_total", len(blocks),
-                        help="Feed blocks taken by the pump (÷ steps = batching).")
-            self._gauge("repro_service_queue_events", self.queued_events,
-                        help="Events still queued when the last step began.")
+            self._pump_steps.inc()
+            self._pump_blocks.inc(len(blocks))
+            self._queue_gauge.set(self.queued_events)
             try:
                 await self._run_step(self._step, concat_blocks(blocks))
             finally:
@@ -322,17 +343,14 @@ class BackscatterService:
             await asyncio.get_running_loop().run_in_executor(None, step, *args)
         except Exception as exc:
             _LOG.exception("engine step failed; the pump continues")
-            self.step_errors += 1
+            self._step_errors.inc()
             self.last_step_error = repr(exc)
-            self._count("repro_service_step_errors_total", 1,
-                        help="Engine steps that raised.")
 
     def _step(self, block: "EntryBlock") -> None:
         if self.manager is not None:
             self._record_swap(self.manager.apply_pending(self.engine))
         if len(block):
             self.engine.ingest_block(block)
-            self.events_total += len(block)
             newest = float(block.timestamps.max())
             # The engine drops a non-finite timestamp as late; it must
             # not become the feed clock either (an ``inf`` lag is not
@@ -341,33 +359,27 @@ class BackscatterService:
                 self._newest_ts is None or newest > self._newest_ts
             ):
                 self._newest_ts = newest
-            self._count("repro_service_events_total", len(block),
-                        help="Feed events accepted by the service.")
         self.engine.poll()
         self._update_lag()
 
     def _record_swap(self, outcome: str) -> None:
-        if outcome == "none":
-            return
-        self.swap_outcomes[outcome] += 1
-        self._count("repro_service_swap_total", 1,
-                    help="Model hot-swap attempts by outcome.", outcome=outcome)
+        if outcome in SWAP_OUTCOMES:  # not "none" or "scheduled"
+            self._swaps.inc(outcome=outcome)
 
     def _update_lag(self) -> None:
+        """Refresh the feed-lag gauge (``/healthz`` reads it too)."""
         if self._newest_ts is None:
             return
         closed = self._last_window_end
         origin = self.config.sensor.origin
         lag = self._newest_ts - (closed if closed is not None else origin or 0.0)
-        self._gauge("repro_service_feed_lag_seconds", max(0.0, lag),
-                    help="Newest feed timestamp minus last closed window end.")
+        self._lag_gauge.set(max(0.0, lag))
 
     # -- window close ---------------------------------------------------
 
     def _handle_window(self, sensed: SensedWindow) -> None:
         start, end = float(sensed.window.start), float(sensed.window.end)
         verdicts = sensed.verdicts
-        self.verdicts_total += len(verdicts)
         self._last_window_end = end
         record = {
             "start": start,
@@ -384,9 +396,6 @@ class BackscatterService:
         }
         with self._state_lock:
             self._windows.append(record)
-            self.windows_total += 1
-        self._count("repro_service_windows_total", 1,
-                    help="Observation windows closed by the service.")
         if verdicts:
             # Untrained/empty windows carry no class signal; feeding
             # zeros would poison the surge baselines (same rule as
@@ -397,7 +406,6 @@ class BackscatterService:
                 alert = detector.update(mid_day, tallies.get(app_class, 0))
                 if alert is not None:
                     with self._state_lock:
-                        self.alerts_total += 1
                         self._alerts.append(
                             {
                                 "day": alert.day,
@@ -407,18 +415,16 @@ class BackscatterService:
                                 "score": alert.score,
                             }
                         )
-                    self._count("repro_service_alerts_total", 1,
-                                help="Surge alerts raised.", app_class=app_class)
+                    self._alert_count.inc(app_class=app_class)
         if self.manager is not None:
-            self.manager.observe_window(sensed)
+            self._record_swap(self.manager.observe_window(sensed))
 
     # -- feed transports ------------------------------------------------
 
     async def _handle_feed(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        self._count("repro_service_feed_connections_total", 1,
-                    help="Feed socket connections accepted.")
+        self._feed_connections.inc()
         decoder = FeedReader(self.config.feed_format)
         source = f"feed connection {writer.get_extra_info('peername')}"
         try:
@@ -459,16 +465,11 @@ class BackscatterService:
             block, lost = error.block, error
         skipped = decoder.bad_lines - bad_before
         if skipped:
-            self.feed_bad_lines += skipped
-            self._count("repro_service_feed_bad_lines_total", skipped,
-                        help="Feed text lines skipped because they did not parse.")
+            self._feed_bad_lines.inc(skipped)
         if len(block):
             self.submit_block(block)
         if lost is not None:
-            self.feed_errors += 1
-            self._count("repro_service_feed_errors_total", 1,
-                        help="Feeds ended because their framing was lost.",
-                        reason=lost.reason)
+            self._feed_errors.inc(reason=lost.reason)
             _LOG.warning("%s ended: %s", source, lost)
         return lost is None
 
@@ -482,11 +483,12 @@ class BackscatterService:
     def _verdicts_response(self) -> tuple[int, str, bytes]:
         """The ``/verdicts`` response, encoded once per closed window."""
         with self._state_lock:
+            newest = self._windows[-1] if self._windows else None
             cached = self._verdicts_cache
-            if cached is not None and cached[0] == self.windows_total:
+            if cached is not None and cached[0] is newest:
                 return cached[1]
-            total, records = self.windows_total, list(self._windows)
-        self._verdicts_cache = (total, json_response({"windows": records}))
+            records = list(self._windows)
+        self._verdicts_cache = (newest, json_response({"windows": records}))
         return self._verdicts_cache[1]
 
     def alerts(self) -> list[dict]:
@@ -495,36 +497,31 @@ class BackscatterService:
             return list(self._alerts)
 
     def health(self) -> dict:
-        """The ``/healthz`` document."""
-        lag = 0.0
-        if self._newest_ts is not None and self._last_window_end is not None:
-            lag = max(0.0, self._newest_ts - self._last_window_end)
+        """The ``/healthz`` document.
+
+        A window counts (window stage out) when the collector closes it,
+        just before its record reaches ``/verdicts``.
+        """
+        stats = self.engine.stats
+        step_errors = int(self._step_errors.value())
         return {
-            "status": "degraded" if self.step_errors else "ok",
-            "step_errors": self.step_errors,
+            "status": "degraded" if step_errors else "ok",
+            "step_errors": step_errors,
             "last_step_error": self.last_step_error,
             "queued_events": self.queued_events,
-            "windows": self.windows_total,
-            "events": self.events_total,
-            "verdicts": self.verdicts_total,
-            "alerts": self.alerts_total,
+            "windows": stats["window"].items_out,
+            "events": stats["ingest"].items_in,
+            "verdicts": stats["classify"].items_out,
+            "alerts": int(self._alert_count.total()),
             "model_version": self.model_version,
             "retrain": self.config.retrain.value if self.config.retrain else None,
-            "swaps": dict(self.swap_outcomes),
-            "feed_lag_seconds": lag,
-            "feed_bad_lines": self.feed_bad_lines,
-            "feed_errors": self.feed_errors,
+            "swaps": {o: int(n) for o in SWAP_OUTCOMES if (n := self._swaps.value(outcome=o))},
+            "feed_lag_seconds": self._lag_gauge.value(),
+            "feed_bad_lines": int(self._feed_bad_lines.value()),
+            "feed_errors": int(self._feed_errors.total()),
             "shards": self.config.shards,
         }
 
     def _observe_http(self, path: str, status: int) -> None:
-        self._count("repro_service_http_requests_total", 1,
-                    help="HTTP requests served.", endpoint=path, status=status)
+        self._http_requests.inc(endpoint=path, status=status)
 
-    def _count(self, name: str, amount: float, help: str = "", **labels) -> None:
-        with use_registry(self.registry):
-            count(name, amount, help=help, **labels)
-
-    def _gauge(self, name: str, value: float, help: str = "") -> None:
-        with use_registry(self.registry):
-            set_gauge(name, value, help=help)

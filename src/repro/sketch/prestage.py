@@ -210,6 +210,7 @@ class SketchPreStage:
         "events_unique",
         "events_duplicate",
         "events_deferred",
+        "events_gated",
         "resolver_wholesale",
         "resolver_replayed",
         "_key_seed",
@@ -234,6 +235,9 @@ class SketchPreStage:
         self.events_unique = 0
         self.events_duplicate = 0
         self.events_deferred = 0
+        #: Events of the originators the batch gate dropped (set by the
+        #: engine's batch sketch pass).
+        self.events_gated = 0
         #: Promotion-resolver accounting (:meth:`observe_arrays` only):
         #: per chunk, originators settled wholesale with array math vs
         #: originators replayed event-by-event to find a bar crossing.
@@ -514,10 +518,11 @@ class SketchPreStage:
         """This window's telemetry counters, by name (small enough to ship
         from a shard process).
 
-        The ``gate_*`` counts are present only with exact observations
-        (batch): there the gate drops events, while a streaming window
-        selects on its promoted exact observations and reading the gate
-        would cost an HLL sweep over every originator for telemetry alone.
+        The ``gate_*`` and ``events_gated`` counts are present only with
+        exact observations (batch): there the gate drops events, while a
+        streaming window selects on its promoted exact observations and
+        reading the gate would cost an HLL sweep over every originator for
+        telemetry alone.
         """
         counters = {
             "events_unique": self.events_unique,
@@ -531,6 +536,7 @@ class SketchPreStage:
         if self.exact_observations:
             counters["gate_kept"] = self.gate_kept
             counters["gate_dropped"] = self.gate_dropped
+            counters["events_gated"] = self.events_gated
         return counters
 
     def false_drops(self, exact_footprints: Mapping[int, int], min_queriers: int) -> int:

@@ -85,11 +85,11 @@ class _Instrument:
 
 
 class _Scalar(_Instrument):
-    """One number per label combination (counters and gauges)."""
+    """One number per label combination (an unlabeled one starts at 0)."""
 
     def __init__(self, name: str, help: str = "", labels: tuple[str, ...] = ()) -> None:
         super().__init__(name, help, labels)
-        self._values: dict[tuple[str, ...], float] = {}
+        self._values: dict[tuple[str, ...], float] = {} if labels else {(): 0.0}
 
     def inc(self, amount: float = 1.0, **labels: object) -> None:
         if amount < 0 and self.kind == "counter":
@@ -99,6 +99,10 @@ class _Scalar(_Instrument):
 
     def value(self, **labels: object) -> float:
         return self._values.get(self._key(labels), 0.0)
+
+    def total(self) -> float:
+        """The sum over every series (a count across its labels)."""
+        return sum(self._values.values())
 
     def records(self) -> Iterator[tuple[tuple[str, ...], dict[str, object]]]:
         for key, value in sorted(self._values.items()):
@@ -229,39 +233,39 @@ class MetricsRegistry:
     def names(self) -> list[str]:
         return sorted(self._instruments)
 
-    def _register(self, instrument: _Instrument) -> _Instrument:
-        existing = self._instruments.get(instrument.name)
+    def _register(
+        self, kind: type, name: str, help: str, labels: tuple[str, ...], *buckets
+    ) -> _Instrument:
+        """The family *name*: built on first use, a checked lookup after.
+
+        Instrumented code asks for its family on every record, so the
+        common case must not build and validate a throwaway instrument.
+        """
+        existing = self._instruments.get(name)
         if existing is None:
-            self._instruments[instrument.name] = instrument
-            return instrument
-        if type(existing) is not type(instrument):
+            existing = self._instruments[name] = kind(name, help, labels, *buckets)
+            return existing
+        if type(existing) is not kind:
+            raise ValueError(f"metric {name!r} already registered as {existing.kind}")
+        if existing.label_names != tuple(labels):
             raise ValueError(
-                f"metric {instrument.name!r} already registered as {existing.kind}"
+                f"metric {name!r} already registered with labels {existing.label_names}"
             )
-        if existing.label_names != instrument.label_names:
+        if buckets and existing.buckets != tuple(buckets[0]):  # type: ignore[union-attr]
             raise ValueError(
-                f"metric {instrument.name!r} already registered with labels "
-                f"{existing.label_names}"
-            )
-        if (
-            isinstance(existing, Histogram)
-            and existing.buckets != instrument.buckets  # type: ignore[union-attr]
-        ):
-            raise ValueError(
-                f"histogram {instrument.name!r} already registered with "
-                "different buckets"
+                f"histogram {name!r} already registered with different buckets"
             )
         return existing
 
     def counter(
         self, name: str, help: str = "", labels: tuple[str, ...] = ()
     ) -> Counter:
-        out = self._register(Counter(name, help, labels))
+        out = self._register(Counter, name, help, labels)
         assert isinstance(out, Counter)
         return out
 
     def gauge(self, name: str, help: str = "", labels: tuple[str, ...] = ()) -> Gauge:
-        out = self._register(Gauge(name, help, labels))
+        out = self._register(Gauge, name, help, labels)
         assert isinstance(out, Gauge)
         return out
 
@@ -272,7 +276,7 @@ class MetricsRegistry:
         labels: tuple[str, ...] = (),
         buckets: tuple[float, ...] = DEFAULT_TIME_BUCKETS,
     ) -> Histogram:
-        out = self._register(Histogram(name, help, labels, buckets))
+        out = self._register(Histogram, name, help, labels, buckets)
         assert isinstance(out, Histogram)
         return out
 

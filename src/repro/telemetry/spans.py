@@ -144,9 +144,12 @@ class span:
 
 
 def count(name: str, amount: float = 1.0, help: str = "", **labels: object) -> None:
-    """Increment a counter on the ambient registry (no-op when none)."""
+    """Increment a counter on the ambient registry (no-op when none).
+
+    An amount of 0 still creates the series, whatever the data exercised.
+    """
     registry = get_registry()
-    if registry is None or amount == 0:
+    if registry is None:
         return
     registry.counter(name, help, labels=tuple(labels)).inc(amount, **labels)
 

@@ -267,6 +267,30 @@ class TestMetricsSnapshots:
         assert "repro_stream_windows_total" in names
         assert "window.sense" in spans
 
+    def test_counters_that_never_moved_are_exported_at_zero(self, tmp_path, capsys):
+        # Tiny JP-ditl has no duplicate within a sketch window, every
+        # originator passes the gate, and its directory lists every
+        # querier: each of those series must still exist, at 0.
+        assert main(["generate", "JP-ditl", "--preset", "tiny", "-o", str(tmp_path)]) == 0
+        out = tmp_path / "metrics.prom"
+        code = main([
+            "classify",
+            "-l", str(tmp_path / "JP-ditl.npz"),
+            "-d", str(tmp_path / "JP-ditl.queriers.jsonl"),
+            "-t", str(tmp_path / "JP-ditl.labels.json"),
+            "--stream", "--window", "43200", "--sketch",
+            "--metrics-out", str(out), "--metrics-format", "prom",
+        ])
+        assert code == 0
+        capsys.readouterr()
+        lines = out.read_text().splitlines()
+        for series in (
+            'repro_sketch_events_total{result="duplicate"} 0',
+            'repro_sketch_gate_originators_total{result="dropped"} 0',
+            "repro_enrichment_cache_misses_total 0",
+        ):
+            assert series in lines, series
+
     def test_no_metrics_flag_writes_nothing(self, generated, tmp_path):
         code = main(self._classify_argv(generated))
         assert code == 0

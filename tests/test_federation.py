@@ -485,6 +485,12 @@ class TestProcessPool:
             return sum(events[(("result", r),)]["value"] for r in ("unique", "duplicate"))
 
         assert seen(got) == seen(want) > 0
+        if not stream:
+            # A batch gate's dropped events are counted once, per window,
+            # where the shards' pre-stage counters ride back.
+            gated = (("result", "gated"),)
+            events = got["repro_sketch_events_total"]
+            assert events[gated] == want["repro_sketch_events_total"][gated]
 
     def test_sharded_stream_publishes_what_a_single_engine_does(self):
         # Regression: the driver's own copy of the engine's accounting

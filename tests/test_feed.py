@@ -349,7 +349,7 @@ class TestFeedErrorsInTheService:
             await writer.drain()
             writer.close()
             await writer.wait_closed()
-            await _until(lambda: service.feed_errors == 1)
+            await _until(lambda: service.health()["feed_errors"] == 1)
             await service.drain()
             health = service.health()
             await service.stop()
@@ -368,12 +368,12 @@ class TestFeedErrorsInTheService:
             service = _service(feed_path=str(feed), feed_poll_seconds=0.01)
             await service.start()
             address = service.http_address
-            await _until(lambda: service.feed_errors == 1)
+            await _until(lambda: service.health()["feed_errors"] == 1)
             await service.stop()
             return service, address
 
         service, (host, port) = asyncio.run(run())
-        assert service.events_total == 1
+        assert service.health()["events"] == 1
         assert _errors(service, "frame") == 1
         with socket.socket() as rebind:
             rebind.bind((host, port))

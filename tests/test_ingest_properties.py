@@ -334,12 +334,9 @@ class TestNonFiniteTimestamps:
             async def run():
                 service = BackscatterService(
                     None,
-                    ServiceConfig(
-                        port=0,
-                        sensor=SensorConfig(window_seconds=100.0),
-                        on_window=sensed.append,
-                    ),
+                    ServiceConfig(port=0, sensor=SensorConfig(window_seconds=100.0)),
                 )
+                service.engine.on_window(sensed.append)
                 await service.start()
                 reader = FeedReader("auto")
                 for lo in range(0, len(payload), 301):
@@ -358,7 +355,7 @@ class TestNonFiniteTimestamps:
         # Windows 0 and 1 close while the feed is live, the last at stop.
         assert dirty_live == clean_live == 2
         assert got == want and len(got) == 3
-        assert dirty.events_total == clean.events_total + 3
+        assert dirty.health()["events"] == clean.health()["events"] + 3
         assert math.isfinite(dirty.health()["feed_lag_seconds"])
         late = lambda service: service.engine.accounting()[0].dropped  # noqa: E731
         assert late(dirty) == late(clean) + 3

@@ -99,13 +99,17 @@ class TestServiceConfig:
             {"alert_window": 1},
             {"alert_threshold": 0.0},
             {"alert_min_relative": -0.1},
-            {"on_window": 42},
             {"sensor": "not-a-config"},
         ],
     )
     def test_rejects_bad_values(self, overrides):
         with pytest.raises(ValueError):
             ServiceConfig(**overrides)
+
+    def test_window_hook_is_the_engines_alone(self):
+        # ``service.engine.on_window`` is the one window-close hook.
+        with pytest.raises(TypeError):
+            ServiceConfig(on_window=print)
 
     @pytest.mark.parametrize(
         "value,expected",
@@ -404,19 +408,30 @@ class TestModelManager:
             def predict(self, X):
                 return np.zeros(len(X), dtype=int)
 
-        with ModelManager(
-            labeled,
-            Strategy.TRAIN_DAILY,
-            factory=lambda seed: _SlowClassifier(),
-            min_per_class=2,
-            min_total=4,
-        ) as manager:
+        sensor = SensorConfig(
+            window_seconds=100.0, min_queriers=3, majority_runs=1,
+            classifier_factory=lambda seed: _SlowClassifier(),
+        )
+        config = ServiceConfig(
+            port=0, sensor=sensor, retrain="daily",
+            retrain_min_per_class=2, retrain_min_total=4,
+        )
+        service = BackscatterService(directory_for(range(100, 140)), config)
+        service.fit(sensed.features, labeled)
+        manager = service.manager
+        try:
             assert manager.observe_window(sensed) == "scheduled"
-            assert manager.observe_window(sensed) == "skipped"
-            assert manager.fits_skipped == 1
+            service._handle_window(sensed)  # closes while the fit still runs
+        finally:
             release.set()
             manager.wait_pending()
-            assert manager.apply_pending(_Recorder()) == "swapped"
+        service._step(EntryBlock.empty())  # installed between steps
+        manager.close()
+        # The skipped fit is a swap outcome, counted once, read by /healthz.
+        swaps = service.registry.get("repro_service_swap_total")
+        assert swaps.value(outcome="skipped") == swaps.value(outcome="swapped") == 1
+        assert service.health()["swaps"] == {"skipped": 1, "swapped": 1}
+        assert service.model_version == 1
 
 
 def _sensed(start: float, end: float, verdicts) -> SensedWindow:
@@ -453,7 +468,6 @@ class TestAlertWiring:
         assert alert["app_class"] == "scan"
         assert alert["observed"] == 20
         assert alert["score"] >= 3.0
-        assert service.windows_total == 8
         # The window records retain the verdict stream.
         assert len(service.windows()) == 8
         assert service.windows()[-1]["verdicts"][0]["app_class"] == "scan"
@@ -482,17 +496,17 @@ class TestAlertWiring:
 
     def test_extra_on_window_callback_runs(self):
         seen = []
-        config = ServiceConfig(port=0, on_window=seen.append)
-        service = BackscatterService(None, config)
+        service = BackscatterService(None, ServiceConfig(port=0))
+        engine = service.engine
+        engine.on_window(seen.append)
         block = EntryBlock.from_entries(
             [entry(float(t), querier=1 + t, originator=5) for t in range(5)]
         )
-        engine = service.engine
         engine.ingest_block(block)
         engine.poll()
         engine.finish()
         assert len(seen) == 1  # both the service's hook and the extra ran
-        assert service.windows_total == 1
+        assert len(service.windows()) == service.health()["windows"] == 1
 
 
 class TestVerdictsEncoding:
@@ -509,7 +523,8 @@ class TestVerdictsEncoding:
             assert service._verdicts_response()[2] is body
             assert json.loads(body) == {"windows": service.windows()}
             assert b"\n" not in body[:-1] and b": " not in body
-        # The history is full, so its length no longer moves; the count does.
+        # The history is full, so its length no longer moves; its newest
+        # record does, and that is what the cache is keyed on.
         assert [r["start"] for r in json.loads(body)["windows"]] == [100.0, 200.0]
 
 
@@ -548,7 +563,7 @@ class TestLiveLedgerOnMetrics:
                 service.submit_block(block)
                 await service.drain()
                 metrics = await _get_metrics(*service.http_address)
-                return metrics, service.windows_total
+                return metrics, service.health()["windows"]
             finally:
                 await service.stop()
 
@@ -559,3 +574,50 @@ class TestLiveLedgerOnMetrics:
         assert metrics["repro_stream_windows_total"] == windows_total
         window_out = 'repro_stage_items_total{stage="window",direction="out"}'
         assert metrics[window_out] == windows_total
+
+
+class TestEachFactRecordedOnce:
+    """``/healthz`` reads the stage ledger and the service's instruments."""
+
+    def test_service_instruments_export_zero_from_the_start(self):
+        service = BackscatterService(None, ServiceConfig(port=0))
+        text = service.registry.to_prometheus()
+        for series in (
+            "repro_service_pump_steps_total 0",
+            "repro_service_step_errors_total 0",
+            "repro_service_feed_bad_lines_total 0",
+            'repro_service_feed_errors_total{reason="frame"} 0',
+            'repro_service_swap_total{outcome="skipped"} 0',
+            'repro_service_alerts_total{app_class="scan"} 0',
+            "repro_service_feed_lag_seconds 0",
+        ):
+            assert series in text.splitlines(), series
+        health = service.health()
+        assert health["status"] == "ok" and health["swaps"] == {}
+        assert health["events"] == health["windows"] == health["alerts"] == 0
+
+    def test_healthz_lag_is_the_gauge_after_stop(self):
+        directory = directory_for(range(100, 140))
+        sensor = SensorConfig(window_seconds=100.0, min_queriers=3)
+        block = EntryBlock.from_entries(synthetic_entries(windows=3))
+        service = BackscatterService(directory, ServiceConfig(port=0, sensor=sensor))
+
+        async def run():
+            await service.start()
+            service.submit_block(block[: len(block) - 5])
+            await service.drain()
+            live = service.health()["feed_lag_seconds"]
+            service.submit_block(block[len(block) - 5 :])
+            await service.stop()
+            return live
+
+        live = asyncio.run(run())
+        gauge = service.registry.get("repro_service_feed_lag_seconds").value()
+        health = service.health()
+        assert live > 0.0  # ingest ran ahead of the last closed window
+        assert health["feed_lag_seconds"] == gauge == 0.0  # the flush closed it
+        stats = service.engine.stats
+        assert health["events"] == stats["ingest"].items_in == len(block)
+        assert health["windows"] == stats["window"].items_out == len(service.windows())
+        for family in ("repro_service_events_total", "repro_service_windows_total"):
+            assert family not in service.registry, family

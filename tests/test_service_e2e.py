@@ -159,7 +159,7 @@ class TestSocketFeedParity:
             writer.close()
             await writer.wait_closed()
             # EOF flushes the decoder; wait for the pump to see it all.
-            while service.events_total < len(block):
+            while service.health()["events"] < len(block):
                 await asyncio.sleep(0.01)
             await service.drain()
             host, port = service.http_address
@@ -214,7 +214,7 @@ class TestSocketFeedParity:
             writer.close()
             await writer.wait_closed()
             # At the parent the connection died at the first bad line.
-            await asyncio.wait_for(_until(lambda: service.events_total == len(block)), 10.0)
+            await asyncio.wait_for(_until(lambda: service.health()["events"] == len(block)), 10.0)
             await service.drain()
             health = service.health()
             await service.stop()
@@ -269,10 +269,10 @@ class TestHotSwap:
 
         service = asyncio.run(run())
         # The mid-run swaps happened...
-        assert service.swap_outcomes.get("swapped", 0) >= 1
+        assert service.health()["swaps"].get("swapped", 0) >= 1
         assert service.model_version >= 1
         # ...and cost nothing: every event ingested, every window emitted.
-        assert service.events_total == len(block)
+        assert service.health()["events"] == len(block)
         ingest = {s.name: s for s in service.engine.accounting()}["ingest"]
         assert ingest.items_in == len(block)
         assert ingest.dropped == 0
@@ -357,7 +357,7 @@ class TestSurgeAlertE2E:
             return service
 
         service = asyncio.run(run())
-        assert service.windows_total == 7
+        assert service.health()["windows"] == 7
         alerts = service.alerts()
         assert len(alerts) == 1
         assert alerts[0]["app_class"] == "scan"
@@ -533,9 +533,9 @@ class TestPredictOnlyClose:
                 ServiceConfig(
                     port=0, sensor=config, shards=shards,
                     retrain="daily", retrain_min_per_class=2, retrain_min_total=4,
-                    on_window=sensed_windows.append,
                 ),
             )
+            service.engine.on_window(sensed_windows.append)
             service.fit_from(trainer, labeled=labeled)
             merge = service.engine
             adopt = merge.adopt_training
@@ -558,14 +558,14 @@ class TestPredictOnlyClose:
                 if w == 5:
                     serving = (merge._voter, service.model_version)
             # Step 6 met the failed candidate and kept serving version 4.
-            assert service.swap_outcomes == {"swapped": 4, "failed": 1}
+            assert service.health()["swaps"] == {"swapped": 4, "failed": 1}
             assert (merge._voter, service.model_version) == serving
             assert serving[0] is not None and serving[1] == 4
             await service.stop()
             return service
 
         service = asyncio.run(run())
-        assert service.swap_outcomes == {"swapped": 5, "failed": 1}
+        assert service.health()["swaps"] == {"swapped": 5, "failed": 1}
         # The first close fitted the initial model's vote where it ran;
         # every later fit ran on the manager's thread.
         pump = [t for t in factory.fit_threads if not t.startswith("model-fit")]
@@ -719,9 +719,9 @@ class TestNaturalBatching:
                 ServiceConfig(
                     port=0, sensor=config, retrain="daily",
                     retrain_min_per_class=2, retrain_min_total=4,
-                    on_window=sensed_windows.append,
                 ),
             )
+            service.engine.on_window(sensed_windows.append)
             service.fit_from(trainer, labeled=labeled)
             adopt = service.engine.adopt_training
 
@@ -742,8 +742,8 @@ class TestNaturalBatching:
 
         service = asyncio.run(run())
         assert _counter(service, "repro_service_pump_steps_total") == len(bursts)
-        assert "failed" not in service.swap_outcomes
-        assert service.swap_outcomes["swapped"] >= 1
+        swaps = service.health()["swaps"]
+        assert "failed" not in swaps and swaps["swapped"] >= 1
         records = service.windows()
         versions = [r["model_version"] for r in records]
         assert len(records) == 7 and versions == sorted(versions)
@@ -765,9 +765,8 @@ class TestRaisingStep:
             raise RuntimeError("hook exploded")
 
         async def run():
-            service = BackscatterService(
-                directory, ServiceConfig(port=0, sensor=config, on_window=hook)
-            )
+            service = BackscatterService(directory, ServiceConfig(port=0, sensor=config))
+            service.engine.on_window(hook)
             service.fit_from(trainer)
             await service.start()
             for lo in range(0, cut, 50):
@@ -790,6 +789,6 @@ class TestRaisingStep:
         assert health["step_errors"] == 2 and health["events"] == len(block)
         assert "hook exploded" in health["last_step_error"]
         # stop()'s final flush hit the hook too, and still unwound.
-        assert service.step_errors == 3
+        assert service.health()["step_errors"] == 3
         assert _counter(service, "repro_service_step_errors_total") == 3
         assert service.http_address is None

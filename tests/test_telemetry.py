@@ -272,11 +272,11 @@ class TestSpans:
         set_gauge("g", 1)
         observe("h_seconds", 0.5)  # nothing to assert beyond "no crash"
 
-    def test_count_skips_zero_amounts(self):
+    def test_count_creates_the_series_at_zero(self):
         registry = MetricsRegistry()
         with use_registry(registry):
-            count("c_total", 0)
-        assert "c_total" not in registry
+            count("c_total", 0, kind="a")
+        assert registry.to_prometheus().splitlines()[-1] == 'c_total{kind="a"} 0'
 
     def test_threads_do_not_share_scope_or_span_stack(self):
         # The service's model-fit thread opens spans while the pump thread
