@@ -16,15 +16,22 @@ also carry the engine's ``repro_ingest_blocks_total`` and the per-shard
 processes too: they hold the service's stdout, so an unreaped one would
 keep the final read from ever finishing.
 
+With ``--kill`` (needs ``--shards`` 2 or more) the service is SIGKILLed
+instead: every shard process it had (its children, read from ``/proc``
+before the kill) must be gone within ``KILL_DEADLINE_S``, since
+a shard's only way to learn of its parent's death is the EOF on its
+pipe.
+
 Usage::
 
-    PYTHONPATH=src python benchmarks/smoke_service.py [--timeout 120] [--shards 2]
+    PYTHONPATH=src python benchmarks/smoke_service.py [--timeout 120] [--shards 2] [--kill]
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import signal
 import subprocess
 import sys
@@ -34,6 +41,8 @@ import urllib.request
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
+#: Seconds a SIGKILLed service's shards get to see their EOF and exit.
+KILL_DEADLINE_S = 10.0
 
 
 def generate_world(workdir: Path) -> tuple[Path, Path, Path]:
@@ -79,6 +88,48 @@ def generate_world(workdir: Path) -> tuple[Path, Path, Path]:
     return log_path, dir_path, labels_path
 
 
+def _stat(pid: int) -> list[str] | None:
+    """``/proc/<pid>/stat`` fields after the command name, or None."""
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()
+    except OSError:
+        return None
+
+
+def running(pid: int) -> bool:
+    """Whether *pid* is a live process (a zombie has exited)."""
+    fields = _stat(pid)
+    return fields is not None and fields[0] != "Z"
+
+
+def children(pid: int) -> list[int]:
+    """Live processes whose parent is *pid*."""
+    out = []
+    for entry in Path("/proc").iterdir():
+        if entry.name.isdigit():
+            fields = _stat(int(entry.name))
+            if fields is not None and fields[0] != "Z" and int(fields[1]) == pid:
+                out.append(int(entry.name))
+    return sorted(out)
+
+
+def kill_and_watch(proc: subprocess.Popen, shards: int) -> int:
+    """SIGKILL the service; every shard it had must exit within the deadline."""
+    pids = children(proc.pid)
+    assert len(pids) == shards, f"expected {shards} shard processes, found {pids}"
+    proc.kill()
+    proc.wait()
+    deadline = time.monotonic() + KILL_DEADLINE_S
+    while any(map(running, pids)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    left = [pid for pid in pids if running(pid)]
+    for pid in left:
+        os.kill(pid, signal.SIGKILL)
+    assert not left, f"shard processes {left} outlived the SIGKILLed service"
+    print(f"smoke_service: PASS (shards {pids} exited after SIGKILL)")
+    return 0
+
+
 def http_json(port: int, path: str):
     with urllib.request.urlopen(f"http://127.0.0.1:{port}{path}", timeout=5) as resp:
         return resp.status, resp.read()
@@ -90,7 +141,11 @@ def main() -> int:
                         help="overall deadline in seconds")
     parser.add_argument("--shards", type=int, default=1,
                         help="forwarded to `repro serve --shards`")
+    parser.add_argument("--kill", action="store_true",
+                        help="SIGKILL the service and require its shards to exit")
     args = parser.parse_args()
+    if args.kill and args.shards < 2:
+        parser.error("--kill needs --shards 2 or more")
     deadline = time.monotonic() + args.timeout
 
     with tempfile.TemporaryDirectory(prefix="smoke-service-") as tmp:
@@ -104,7 +159,7 @@ def main() -> int:
                 "--retrain", "daily", "--shards", str(args.shards),
             ],
             cwd=REPO,
-            env={**__import__("os").environ, "PYTHONPATH": str(REPO / "src")},
+            env={**os.environ, "PYTHONPATH": str(REPO / "src")},
             stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT,
             text=True,
@@ -154,6 +209,8 @@ def main() -> int:
                 records = json.loads(body)["windows"]
                 time.sleep(0.1)
             print("  metrics + verdicts OK")
+            if args.kill:
+                return kill_and_watch(proc, args.shards)
 
             proc.send_signal(signal.SIGTERM)
             remaining = max(1.0, deadline - time.monotonic())

@@ -107,7 +107,7 @@ class ShardedCollector:
         reorder_slack: float,
     ) -> None:
         self._pool = pool
-        self._n_shards = len(pool.workers)
+        self._n_shards = len(pool)
         self._origin = origin
         self._width = window_seconds
         self._front = ReorderFront(origin=origin, reorder_slack=reorder_slack)
@@ -138,14 +138,10 @@ class ShardedCollector:
     def _gather(
         self, method: str, op: str, shard_args: list[tuple], events: list[int]
     ) -> None:
-        futures = [
-            self._pool.submit(shard, method, args)
-            for shard, args in enumerate(shard_args)
-        ]
-        for shard, future in enumerate(futures):
+        replies = self._pool.call([(shard, method, args) for shard, args in enumerate(shard_args)])
+        for shard, (summaries, dropped, elapsed) in enumerate(replies):
             # dropped: the shard's window-stage drops so far (cumulative
             # on the streaming calls, the span's on ``run_batch``).
-            summaries, dropped, elapsed = future.result()
             self._shard_dropped[shard] = dropped
             _observe_shard(shard, op, elapsed, events[shard])
             for summary in summaries:
@@ -205,20 +201,17 @@ class FederatedSensor(SensorEngine):
     ----------
     directory:
         Querier metadata provider, shared by every shard (inherited
-        through fork in process mode) and by the classify stage.
+        through fork) and by the classify stage.
     config:
         The deployment's :class:`~repro.sensor.engine.SensorConfig`.
         Shards run it with ``reorder_slack=0`` (this process owns the
         reorder front).
     n_shards:
-        Shard worker count (1 is allowed and useful for testing).
+        Shard processes, forked here (1 is allowed and useful for
+        testing); :meth:`close`, or this process's exit or death, ends them.
     registry:
         Optional metrics registry; receives everything a single engine
         publishes plus the per-shard ``repro_federation_*`` instruments.
-    processes:
-        With True (default) each shard runs on its own fork-context
-        process; False — or a platform without fork — runs shards
-        inline, bit-identically.
     """
 
     def __init__(
@@ -227,7 +220,6 @@ class FederatedSensor(SensorEngine):
         config: SensorConfig | None = None,
         n_shards: int = 2,
         registry: MetricsRegistry | None = None,
-        processes: bool = True,
     ) -> None:
         if n_shards < 1:
             raise ValueError("n_shards must be positive")
@@ -236,7 +228,7 @@ class FederatedSensor(SensorEngine):
         super().__init__(directory, config, registry=registry)
         self.n_shards = n_shards
         workers = [ShardWorker(k, directory, self.config) for k in range(n_shards)]
-        self._pool = ShardPool(workers, processes=processes)
+        self._pool = ShardPool(workers)
 
     def close(self) -> None:
         """Shut the shard processes down (idempotent)."""
@@ -303,7 +295,8 @@ class FederatedSensor(SensorEngine):
 
         Select/featurize counts are summed over shards (originator
         partitioning makes the sums equal the single engine's), and so
-        are the shards' sketch pre-stage counters, published once.
+        are the shards' enrichment and sketch pre-stage counters,
+        published once per window.
         """
         with self._scope():
             with span("stage.window") as merge_span:
@@ -311,11 +304,9 @@ class FederatedSensor(SensorEngine):
                     window.start, window.end, [s for _, s in window.parts]
                 )
             self.stats["window"].seconds += merge_span.elapsed
-            futures = [
-                self._pool.submit(shard, "featurize_window", (window.index, context))
-                for shard, _ in window.parts
-            ]
-            shard_rows = [future.result() for future in futures]
+            shard_rows = self._pool.call(
+                [(shard, "featurize_window", (window.index, context)) for shard, _ in window.parts]
+            )
             sketch: Counter[str] = Counter()
             for rows in shard_rows:
                 sketch.update(rows.sketch or {})
@@ -335,6 +326,9 @@ class FederatedSensor(SensorEngine):
                           help="Merged feature rows contributed per shard.",
                           shard=str(rows.shard))
                     _observe_shard(rows.shard, "featurize", rows.seconds)
+            self._emit_enrichment(
+                sum(r.hits for r in shard_rows), sum(r.misses for r in shard_rows)
+            )
             if sketch and get_registry() is not None:
                 self._emit_sketch_metrics(sketch)
             return merge_rows(context, window.ranks, shard_rows)

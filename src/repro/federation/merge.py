@@ -5,7 +5,7 @@ Two merges happen per window:
 * **Context** — the dynamic-feature normalizers are window-*global*
   (total ASes / countries / unique queriers over the whole window), so
   they cannot be computed shard-locally.  :func:`merged_context` unions
-  the shards' querier rosters, known-AS sets, and country-name sets;
+  the shards' querier rosters, known-AS sets, and known-country sets;
   because enrichment is deterministic per address and originator
   partitioning never splits an address's enrichment, the union equals
   what a single engine computes over the unpartitioned window.
@@ -33,22 +33,17 @@ def merged_context(
     start: float, end: float, summaries: Sequence[WindowSummary]
 ) -> WindowContext:
     """The merged window's normalizers, from per-shard partials."""
-    addr_parts = [s.addrs for s in summaries if s.addrs.size]
-    asn_parts = [s.asns for s in summaries if s.asns.size]
-    total_queriers = (
-        int(np.unique(np.concatenate(addr_parts)).size) if addr_parts else 0
-    )
-    total_ases = int(np.unique(np.concatenate(asn_parts)).size) if asn_parts else 0
-    countries: set[str] = set()
-    for summary in summaries:
-        countries.update(summary.countries)
     return WindowContext(
         start=start,
         end=end,
-        total_ases=max(1, total_ases),
-        total_countries=max(1, len(countries)),
-        total_queriers=max(1, total_queriers),
+        total_ases=max(1, _distinct([s.asns for s in summaries])),
+        total_countries=max(1, _distinct([s.countries for s in summaries])),
+        total_queriers=max(1, _distinct([s.addrs for s in summaries])),
     )
+
+
+def _distinct(parts: list[np.ndarray]) -> int:
+    return int(np.unique(np.concatenate(parts)).size) if parts else 0
 
 
 def empty_feature_set(context: WindowContext) -> FeatureSet:

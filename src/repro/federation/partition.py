@@ -2,7 +2,7 @@
 
 The federation's correctness argument starts here:
 
-* **Partitioning is by originator** (seeded ``mix64``), so every event
+* **Partitioning is by originator** (``mix64``), so every event
   of one ``(querier, originator)`` pair — and therefore every dedup
   decision, HLL register, and observation — lands on exactly one shard.
   A shard's windows are the single engine's windows restricted to its
@@ -32,16 +32,16 @@ from repro.sketch.hashing import mix64_array
 __all__ = ["shard_of", "partition_arrays", "note_first_appearance", "ReorderFront"]
 
 
-def shard_of(originators: np.ndarray, n_shards: int, seed: int = 0) -> np.ndarray:
-    """Shard index per originator: seeded ``mix64(originator) % n_shards``.
+def shard_of(originators: np.ndarray, n_shards: int) -> np.ndarray:
+    """Shard index per originator: ``mix64(originator) % n_shards``.
 
-    Deterministic in ``(originator, n_shards, seed)`` — re-running a
+    Deterministic in ``(originator, n_shards)`` — re-running a
     federation with the same shard count reproduces the same placement.
     """
     if n_shards < 1:
         raise ValueError("n_shards must be positive")
     values = np.ascontiguousarray(originators, dtype=np.int64)
-    return (mix64_array(values, seed) % np.uint64(n_shards)).astype(np.int64)
+    return (mix64_array(values) % np.uint64(n_shards)).astype(np.int64)
 
 
 def partition_arrays(
@@ -49,10 +49,9 @@ def partition_arrays(
     queriers: np.ndarray,
     originators: np.ndarray,
     n_shards: int,
-    seed: int = 0,
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Split parallel event columns into per-shard columns, order-preserving."""
-    assignments = shard_of(originators, n_shards, seed)
+    assignments = shard_of(originators, n_shards)
     out = []
     for shard in range(n_shards):
         mask = assignments == shard

@@ -9,33 +9,34 @@ stages of :class:`~repro.federation.driver.FederatedSensor` need:
 
 1. **feed/close** (window stage) — ingest released arrays, advance to
    the global watermark, and return a :class:`WindowSummary` per newly
-   closed window: the shard's querier roster, AS set, and country-name
-   set, which ``featurize`` unions into the merged
-   :class:`~repro.sensor.dynamic.WindowContext`.  (Country *names* are
-   exchanged, not the enrichment cache's interned codes — codes are
-   cache-local and mean nothing across processes.)
+   closed window: the shard's querier roster, AS set and country set
+   (directory codes), which ``featurize`` unions into the merged
+   :class:`~repro.sensor.dynamic.WindowContext`.
 2. **featurize** — select + featurize the stored partial window under
    the merged context broadcast back, returning the rows as
    :class:`ShardRows`.  Because every feature row depends only on its
    own observation plus the shared context, shard rows are bit-identical
    to the rows a single engine computes for the same originators.  The
-   window's sketch pre-stage counters (``--sketch``) ride back with them,
-   for the driver to publish.
+   window's enrichment counts and sketch pre-stage counters (``--sketch``)
+   ride back with them, for the driver to publish.
 
-Process fan-out: one single-worker fork-context executor per shard,
-forked when the pool is built, the worker object inherited through fork
-(never pickled), tasks shipping a method name plus flat arrays and
-index/context tuples.  :class:`ShardPool` falls back to inline
-(same-process) workers where fork is unavailable; results are identical
-either way.
+Process fan-out: :class:`ShardPool` forks one process per shard behind
+one duplex pipe; the parent sends ``(method, args)`` — flat arrays and
+index/context tuples — and the shard replies ``(ok, value)``.  A shard
+holds no parent end of any pipe, so it exits on EOF when the parent
+closes the pool, exits or dies.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import signal
 import time
-from concurrent.futures import Future, ProcessPoolExecutor
-from dataclasses import dataclass, field
+import traceback
+import weakref
+from dataclasses import dataclass
+from multiprocessing.connection import Connection
+from multiprocessing.process import BaseProcess
 from typing import Sequence
 
 import numpy as np
@@ -64,8 +65,9 @@ class WindowSummary:
     """Sorted distinct querier addresses this shard saw in the window."""
     asns: np.ndarray
     """Sorted distinct known ASNs over those addresses."""
-    countries: list[str] = field(default_factory=list)
-    """Sorted distinct country names over those addresses."""
+    countries: np.ndarray
+    """Sorted distinct known country codes over those addresses (every
+    shard reads the one directory inherited through fork)."""
 
 
 @dataclass(slots=True)
@@ -81,6 +83,9 @@ class ShardRows:
     select_out: int
     rows: int
     seconds: float
+    hits: int
+    misses: int
+    """The window's featurize enrichment reads (:class:`EnrichmentCache`)."""
     sketch: dict[str, int] | None = None
     """The window's pre-stage counters
     (:meth:`~repro.sketch.prestage.SketchPreStage.counters`), if it has one."""
@@ -97,10 +102,7 @@ class ShardWorker:
     ) -> None:
         self.shard_id = shard_id
         self.config = config.replaced(reorder_slack=0.0)
-        # One enrichment view per shard, read by the context partials and
-        # featurize alike: the directory is frozen, so which view reads it
-        # never changes a feature value.
-        self.directory = EnrichmentCache.ensure(directory)
+        self.directory = directory
         self.engine = SensorEngine(self.directory, self.config)
         self._windows: dict[int, ObservationWindow] = {}
 
@@ -171,9 +173,8 @@ class ShardWorker:
         selected = analyzable(window, self.config.min_queriers)
         prestage = window.prestage
         items_in = len(window) if prestage is None else prestage.originators_seen
-        features = features_from_selected(
-            window, selected, self.directory, context=context
-        )
+        cache = EnrichmentCache(self.directory)
+        features = features_from_selected(window, selected, cache, context=context)
         return ShardRows(
             shard=self.shard_id,
             index=index,
@@ -184,6 +185,8 @@ class ShardWorker:
             select_out=len(selected),
             rows=len(features),
             seconds=time.perf_counter() - started,
+            hits=cache.hits,
+            misses=cache.misses,
             sketch=None if prestage is None else prestage.counters(),
         )
 
@@ -211,109 +214,106 @@ class ShardWorker:
         if len(window) == 0 and window.prestage is None:
             return None
         self._windows[index] = window
-        addrs, asns, countries = self._context_partial(window)
+        addrs = window.querier_addrs()
+        _, asns, countries = self.directory.codes(addrs)
         return WindowSummary(
             index=index,
             start=window.start,
             end=window.end,
             originators=len(window),
             addrs=addrs,
-            asns=asns,
-            countries=countries,
+            asns=np.unique(asns[asns >= 0]),
+            countries=np.unique(countries[countries >= 0]),
         )
-
-    def _context_partial(
-        self, window: ObservationWindow
-    ) -> tuple[np.ndarray, np.ndarray, list[str]]:
-        addrs = window.querier_addrs()
-        if addrs.size == 0:
-            return addrs, np.empty(0, dtype=np.int64), []
-        _, asns, country_codes = self.directory.codes(addrs)
-        known_asns = np.unique(asns[asns >= 0])
-        names = sorted(
-            set(self.directory.country_names(country_codes[country_codes >= 0]))
-        )
-        return addrs, known_asns, names
 
 
 # -- process fan-out ------------------------------------------------------
 
-#: The worker a forked shard process operates on, installed by the pool
-#: initializer.  With the fork start method the worker object is
-#: inherited copy-on-write — nothing heavy crosses the IPC pipe; task
-#: payloads are flat arrays and small tuples.
-_SHARD: ShardWorker | None = None
+#: Parent ends of every live shard pipe in this process.  A forked shard
+#: closes its copies first, so the parent's exit or death is its EOF.
+_PARENT_ENDS: weakref.WeakSet[Connection] = weakref.WeakSet()
 
 
-def _init_shard(worker: ShardWorker) -> None:
-    global _SHARD
-    _SHARD = worker
-
-
-def _call_shard(method: str, args: tuple) -> object:
-    """Run one :class:`ShardWorker` method in the shard's own process."""
-    return getattr(_SHARD, method)(*args)
-
-
-class _Immediate:
-    """Future-alike wrapping an already-computed inline result."""
-
-    __slots__ = ("_value",)
-
-    def __init__(self, value: object) -> None:
-        self._value = value
-
-    def result(self) -> object:
-        return self._value
+def _serve(conn: Connection, worker: ShardWorker) -> None:
+    """A shard process: answer each ``(method, args)`` with ``(ok, value)``."""
+    for end in list(_PARENT_ENDS):
+        end.close()
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
+    try:
+        while True:
+            method, args = conn.recv()
+            try:
+                reply = (True, getattr(worker, method)(*args))
+            except Exception as exc:  # handed to the parent, which raises it
+                reply = (False, (exc, traceback.format_exc()))
+            conn.send(reply)
+    except (EOFError, BrokenPipeError):
+        return  # the parent closed its end, exited or died
 
 
 class ShardPool:
-    """One single-worker process per shard, or inline workers without fork.
+    """One process per shard, forked here, behind one duplex pipe each.
 
-    Each shard gets its *own* executor so its worker state (collector,
-    stored windows, enrichment cache) persists across tasks, and tasks
-    for different shards run concurrently.  Submission order per shard
-    is execution order (one worker per executor), which the driver's
-    feed → close → featurize sequencing relies on.
+    A shard inherits its :class:`ShardWorker` (never pickled) and answers
+    requests in arrival order, which the driver's feed → close →
+    featurize sequencing relies on.
     """
 
-    def __init__(self, workers: Sequence[ShardWorker], processes: bool = True) -> None:
-        self.workers = list(workers)
-        self._executors: list[ProcessPoolExecutor] | None = None
-        if processes:
-            try:
-                mp_context = multiprocessing.get_context("fork")
-            except ValueError:
-                mp_context = None
-            if mp_context is not None:
-                self._executors = [
-                    ProcessPoolExecutor(
-                        max_workers=1,
-                        mp_context=mp_context,
-                        initializer=_init_shard,
-                        initargs=(worker,),
-                    )
-                    for worker in self.workers
-                ]
-                # Fork now, on the constructing thread: started at first
-                # use, a worker would fork from whichever thread feeds
-                # the sensor — the service's pump, under a running event
-                # loop with its listening sockets open.
-                for executor in self._executors:
-                    executor.submit(int).result()
+    def __init__(self, workers: Sequence[ShardWorker]) -> None:
+        context = multiprocessing.get_context("fork")
+        self._shards: list[tuple[Connection, BaseProcess]] = []
+        # Ctrl-C stays blocked in a new shard until it has ignored it.
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        try:
+            for worker in workers:
+                parent_end, child_end = context.Pipe()
+                _PARENT_ENDS.add(parent_end)
+                process = context.Process(target=_serve, args=(child_end, worker), daemon=True,
+                                          name=f"repro-shard-{worker.shard_id}")
+                process.start()
+                child_end.close()  # the shard's death is then this end's EOF
+                self._shards.append((parent_end, process))
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
-    @property
-    def inline(self) -> bool:
-        """True when running shards in-process (no fork available/wanted)."""
-        return self._executors is None
+    def __len__(self) -> int:
+        return len(self._shards)
 
-    def submit(self, shard: int, method: str, args: tuple) -> "Future | _Immediate":
-        if self._executors is None:
-            return _Immediate(getattr(self.workers[shard], method)(*args))
-        return self._executors[shard].submit(_call_shard, method, args)
+    def call(self, requests: Sequence[tuple[int, str, tuple]]) -> list[object]:
+        """Run ``(shard, method, args)`` requests, at most one per shard.
+
+        Every request is sent before any reply is read, so shards work
+        concurrently.  A shard's exception re-raises here once every
+        reply is in; a shard that is gone closes the pool and raises
+        :class:`RuntimeError` naming it.
+        """
+        for shard, method, args in requests:
+            self._transfer(shard, "send", (method, args))
+        replies = [self._transfer(shard, "recv") for shard, _, _ in requests]
+        for ok, value in replies:
+            if not ok:
+                exc, remote = value
+                raise exc from RuntimeError(f"raised in a shard process:\n{remote}")
+        return [value for _, value in replies]
+
+    def _transfer(self, shard: int, op: str, *payload: object) -> object:
+        conn, process = self._shards[shard]
+        try:
+            return getattr(conn, op)(*payload)
+        except (EOFError, OSError) as exc:
+            self.close()
+            raise RuntimeError(
+                f"shard {shard} (pid {process.pid}) is gone: exit code {process.exitcode}"
+            ) from exc
 
     def close(self) -> None:
-        if self._executors is not None:
-            for executor in self._executors:
-                executor.shutdown()
-            self._executors = None
+        """End every shard (idempotent): close its pipe, then reap it."""
+        for conn, _ in self._shards:
+            _PARENT_ENDS.discard(conn)
+            conn.close()
+        for _, process in self._shards:
+            process.join(5.0)
+            if process.exitcode is None:  # it ignored its EOF
+                process.terminate()
+                process.join()

@@ -13,14 +13,13 @@ an :class:`EnrichmentCache`, one searchsorted per address array.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.netmodel.world import NameStatus, World
 from repro.sensor.keywords import STATIC_CATEGORIES, classify_querier
-from repro.telemetry import count as _tcount
 
 __all__ = [
     "QuerierInfo",
@@ -54,7 +53,7 @@ class FrozenDirectory:
     The rows are held as columns sorted by address — static category,
     ASN, country code — and each querier's category is classified once,
     here, so a window close reads any querier with one searchsorted and
-    three gathers (:meth:`EnrichmentCache.codes`).  An unlisted address
+    three gathers (:meth:`codes`).  An unlisted address
     answers NXDOMAIN with no AS or country: the right default for
     addresses the collection never enriched.
 
@@ -108,6 +107,24 @@ class FrozenDirectory:
             return self._rows[pos]
         return QuerierInfo(addr, None, NameStatus.NXDOMAIN, None, None)
 
+    def codes(self, addrs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(category indices, ASNs, country codes)`` aligned with *addrs*.
+
+        ``-1`` encodes an unknown ASN or country.  Nothing is counted: a
+        window's featurize reads through an :class:`EnrichmentCache`.
+        """
+        _, categories, asns, ccs = self._columns
+        rows = self.rows(addrs)
+        return categories[rows], asns[rows], ccs[rows]
+
+    def rows(self, addrs: np.ndarray) -> np.ndarray:
+        """Each address's row in :attr:`columns`: one searchsorted, and an
+        unlisted address reads the NXDOMAIN row past the last, ``len(self)``."""
+        listed = self._columns[0]
+        rows = np.searchsorted(listed, addrs)
+        rows[listed[rows] != addrs] = len(self._rows)
+        return rows
+
 
 def world_directory(world: World) -> FrozenDirectory:
     """Every querier of a synthetic *world* (exact whois + GeoIP)."""
@@ -120,20 +137,17 @@ def world_directory(world: World) -> FrozenDirectory:
 class EnrichmentCache:
     """A window's counting view over a :class:`FrozenDirectory`.
 
-    :meth:`codes` reads the directory's columns and counts how many
-    addresses it listed (``hits``) and how many read the NXDOMAIN row
-    (``misses``); the counts are mirrored to the ambient metrics
-    registry when one is in scope.  The cache has the directory's
-    :meth:`lookup`, so it can be passed anywhere a directory is
-    expected.
+    :meth:`codes` is the directory's, counting the addresses it listed
+    (``hits``) and those that read the NXDOMAIN row (``misses``).  The
+    engine's featurize stage reads its analyzable (row, querier) pairs
+    through one view per window and publishes the counts.  The cache has
+    the directory's :meth:`lookup`, so it can be passed anywhere a
+    directory is expected.
     """
 
-    #: Telemetry counter names (emitted when a registry is in scope).
-    _HITS = "repro_enrichment_cache_hits_total"
-    _MISSES = "repro_enrichment_cache_misses_total"
-
-    def __init__(self, directory: FrozenDirectory) -> None:
-        self._directory = directory
+    def __init__(self, directory: QuerierDirectory) -> None:
+        #: The frozen directory read (a cache's own, when given a cache).
+        self.directory = directory.directory if isinstance(directory, EnrichmentCache) else directory
         self.hits = 0
         self.misses = 0
 
@@ -143,36 +157,15 @@ class EnrichmentCache:
         return directory if isinstance(directory, cls) else cls(directory)
 
     def lookup(self, addr: int) -> QuerierInfo:
-        return self._directory.lookup(addr)
-
-    def country_names(self, codes: np.ndarray | Sequence[int]) -> list[str]:
-        """Country names for codes (callers filter ``>= 0``).
-
-        Codes are directory-internal, so cross-process aggregation — the
-        federation driver unioning per-shard distinct-country sets — goes
-        through the names.
-        """
-        return [self._directory.countries[int(code)] for code in codes]
+        return self.directory.lookup(addr)
 
     def codes(self, addrs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(category indices, ASNs, country codes)`` aligned with *addrs*.
-
-        ``-1`` encodes an unknown ASN or country.  One searchsorted into
-        the directory's columns plus three gathers; an unlisted address
-        reads the NXDOMAIN row past the last.
-        """
-        listed, categories, asns, ccs = self._directory.columns
-        addrs = addrs.astype(np.int64, copy=False)
-        rows = np.searchsorted(listed, addrs)
-        unlisted = listed[rows] != addrs
-        rows[unlisted] = len(listed) - 1
-        misses = int(np.count_nonzero(unlisted))
-        self.hits += len(addrs) - misses
+        """The directory's :meth:`~FrozenDirectory.codes`, counted."""
+        rows = self.directory.rows(addrs)
+        misses = int(np.count_nonzero(rows == len(self.directory)))
+        self.hits += len(rows) - misses
         self.misses += misses
-        _tcount(self._HITS, len(addrs) - misses,
-                help="Enrichment lookups of listed queriers.")
-        _tcount(self._MISSES, misses,
-                help="Enrichment lookups of unlisted queriers (read as NXDOMAIN).")
+        _, categories, asns, ccs = self.directory.columns
         return categories[rows], asns[rows], ccs[rows]
 
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.netmodel.addressing import slash8, slash24
 from repro.sensor.collection import ObservationWindow, OriginatorObservation
-from repro.sensor.directory import EnrichmentCache, QuerierDirectory
+from repro.sensor.directory import QuerierDirectory
 
 __all__ = [
     "PERIOD_SECONDS",
@@ -70,7 +70,7 @@ class WindowContext:
         cls, window: ObservationWindow, directory: QuerierDirectory
     ) -> "WindowContext":
         addrs = window.querier_addrs()
-        _, asns, country_codes = EnrichmentCache.ensure(directory).codes(addrs)
+        _, asns, country_codes = directory.codes(addrs)
         return cls(
             start=window.start,
             end=window.end,

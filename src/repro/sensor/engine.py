@@ -68,7 +68,7 @@ from repro.ml.validation import (
 )
 from repro.sensor.collection import DEDUP_WINDOW_SECONDS, ObservationWindow
 from repro.sensor.curation import LabeledSet
-from repro.sensor.directory import QuerierDirectory
+from repro.sensor.directory import EnrichmentCache, QuerierDirectory
 from repro.sensor.features import FeatureSet, features_from_selected
 from repro.sensor.selection import ANALYZABLE_THRESHOLD, analyzable
 from repro.sensor.streaming import StreamingCollector, StreamingStats
@@ -367,6 +367,15 @@ class SensorEngine:
               help=help_items, stage=name, direction="out")
         count("repro_stage_items_total", dropped,
               help=help_items, stage=name, direction="dropped")
+
+    def _emit_enrichment(self, hits: int, misses: int) -> None:
+        """Publish one window's featurize enrichment reads (registry in scope)."""
+        if get_registry() is None:
+            return
+        count("repro_enrichment_cache_hits_total", hits,
+              help="Enrichment lookups of listed queriers.")
+        count("repro_enrichment_cache_misses_total", misses,
+              help="Enrichment lookups of unlisted queriers (read as NXDOMAIN).")
 
     def _emit_sketch_metrics(self, counters: dict[str, int]) -> None:
         """Publish one window's pre-stage counters (registry in scope).
@@ -725,13 +734,15 @@ class SensorEngine:
             if prestage is not None and get_registry() is not None:
                 self._emit_sketch_metrics(prestage.counters())
             with span("stage.featurize") as featurize_span:
-                features = features_from_selected(window, selected, self.directory)
+                cache = EnrichmentCache(self.directory)
+                features = features_from_selected(window, selected, cache)
             self._record_stage(
                 "featurize",
                 items_in=len(selected),
                 items_out=len(features),
                 seconds=featurize_span.elapsed,
             )
+            self._emit_enrichment(cache.hits, cache.misses)
         return features
 
     # -- classify -------------------------------------------------------

@@ -177,7 +177,7 @@ def _grouped_entropy(
 
 def _feature_matrix(
     selected: list[OriginatorObservation],
-    directory: QuerierDirectory,
+    cache: EnrichmentCache,
     context: WindowContext,
 ) -> np.ndarray:
     """The (n_selected, 22) feature matrix, vectorized over all rows.
@@ -191,7 +191,6 @@ def _feature_matrix(
     n_categories = len(STATIC_CATEGORIES)
     if n_rows == 0:
         return np.zeros((0, len(FEATURE_NAMES)))
-    cache = EnrichmentCache.ensure(directory)
 
     # Flatten (row, querier) pairs; queriers sorted per row for determinism.
     footprints = np.array([o.footprint for o in selected], dtype=np.int64)
@@ -288,7 +287,7 @@ def features_from_selected(
     cache = EnrichmentCache.ensure(directory)
     kept = [o for o in selected if o.footprint > 0]
     if context is None:
-        context = WindowContext.from_window(window, cache)
+        context = WindowContext.from_window(window, cache.directory)
     originators = np.array([o.originator for o in kept], dtype=np.int64)
     footprints = np.array([o.footprint for o in kept], dtype=np.int64)
     matrix = _feature_matrix(kept, cache, context)

@@ -475,7 +475,8 @@ class TestMalformedInputs:
 
 class TestOneWayToGoParallel:
     """Shards are the parallelism and ``SensorConfig`` is the config:
-    no second process pool, no work-shaping environment, no ``--workers``."""
+    no process pool, no process made outside the shard transport, no
+    work-shaping environment, no ``--workers``."""
 
     SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
@@ -491,13 +492,18 @@ class TestOneWayToGoParallel:
     def test_inventory(self):
         env_names: set[str] = set()
         pool_sites: set[str] = set()
+        process_sites: set[str] = set()
         for path in self.SRC.rglob("*.py"):
             text = path.read_text()
+            site = path.relative_to(self.SRC).as_posix()
             env_names.update(re.findall(r"REPRO_[A-Z_]+", text))
             if "ProcessPoolExecutor" in text:
-                pool_sites.add(path.relative_to(self.SRC).as_posix())
+                pool_sites.add(site)
+            if re.search(r"multiprocessing|subprocess|os\.fork|os\.spawn|Popen", text):
+                process_sites.add(site)
         assert env_names == set()
-        assert pool_sites == {"federation/shard.py"}
+        assert pool_sites == set()
+        assert process_sites == {"federation/shard.py"}
         for argv in self.SUBCOMMANDS.values():
             build_parser().parse_args(argv)
             with pytest.raises(SystemExit) as exit_info:

@@ -11,6 +11,14 @@ verdict fusion.
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +33,8 @@ from repro.federation import (
     fuse_verdicts,
     note_first_appearance,
     partition_arrays,
+    ShardPool,
+    ShardWorker,
     sensor_for,
     shard_of,
 )
@@ -106,20 +116,18 @@ def stats_snapshot(stats) -> list[tuple[str, int, int, int]]:
 class TestPartitionHelpers:
     def test_shard_of_is_deterministic_and_in_range(self):
         originators = np.arange(0, 5000, dtype=np.int64)
-        a = shard_of(originators, 4, seed=0)
-        b = shard_of(originators, 4, seed=0)
+        a = shard_of(originators, 4)
+        b = shard_of(originators, 4)
         assert np.array_equal(a, b)
         assert a.min() >= 0 and a.max() < 4
         # All shards get a share of a diverse keyspace.
         assert len(np.unique(a)) == 4
-        # A different seed permutes the assignment.
-        assert not np.array_equal(a, shard_of(originators, 4, seed=1))
 
     def test_partition_arrays_covers_every_event(self):
         ts = np.arange(20, dtype=np.float64)
         qs = np.arange(20, dtype=np.int64)
         os_ = (np.arange(20, dtype=np.int64) % 6) + 1
-        parts = partition_arrays(ts, qs, os_, n_shards=3, seed=0)
+        parts = partition_arrays(ts, qs, os_, n_shards=3)
         assert sum(len(p[0]) for p in parts) == 20
         seen = np.concatenate([p[2] for p in parts])
         assert sorted(seen.tolist()) == sorted(os_.tolist())
@@ -183,7 +191,7 @@ class TestBatchEquivalence:
         engine = SensorEngine(directory, config)
         expected = engine.process(entries, 0.0, 300.0, classify=False)
         with FederatedSensor(
-            directory, config, n_shards=n_shards, processes=False
+            directory, config, n_shards=n_shards
         ) as federated:
             merged = federated.process(entries, 0.0, 300.0, classify=False)
             assert len(merged) == len(expected) == 3
@@ -203,7 +211,7 @@ class TestBatchEquivalence:
         engine = SensorEngine(directory, config)
         expected = engine.process(entries, 0.0, 400.0, classify=False)
         with FederatedSensor(
-            directory, config, n_shards=2, processes=False
+            directory, config, n_shards=2
         ) as federated:
             merged = federated.process(entries, 0.0, 400.0, classify=False)
         assert len(merged) == len(expected) == 4
@@ -218,7 +226,7 @@ class TestBatchEquivalence:
         results = []
         for n_shards in (1, 2, 4):
             with FederatedSensor(
-                directory, config, n_shards=n_shards, processes=False
+                directory, config, n_shards=n_shards
             ) as federated:
                 results.append(federated.process(entries, 0.0, 300.0, classify=False))
         for other in results[1:]:
@@ -239,7 +247,7 @@ class TestBatchEquivalence:
         engine = SensorEngine(directory, config)
         expected = engine.process(entries, 0.0, 300.0, classify=False)
         with FederatedSensor(
-            directory, config, n_shards=3, processes=False
+            directory, config, n_shards=3
         ) as federated:
             merged = federated.process(entries, 0.0, 300.0, classify=False)
             for got, want in zip(merged, expected):
@@ -261,7 +269,7 @@ class TestBatchEquivalence:
         trainer.fit(window.features, labeled)
         expected = trainer.process(entries, 0.0, 300.0)
         with FederatedSensor(
-            directory, config, n_shards=2, processes=False
+            directory, config, n_shards=2
         ) as federated:
             federated.fit_from(trainer)
             assert federated.is_fitted
@@ -304,7 +312,7 @@ class TestStreamingEquivalence:
         engine = SensorEngine(directory, config)
         expected = self._stream(engine, block)
         with FederatedSensor(
-            directory, config, n_shards=n_shards, processes=False
+            directory, config, n_shards=n_shards
         ) as federated:
             merged = self._stream(federated, block)
             assert len(merged) == len(expected) > 0
@@ -331,7 +339,7 @@ class TestStreamingEquivalence:
         engine = SensorEngine(directory, config)
         expected = self._stream(engine, block)
         with FederatedSensor(
-            directory, config, n_shards=2, processes=False
+            directory, config, n_shards=2
         ) as federated:
             merged = self._stream(federated, block)
         assert len(merged) == len(expected)
@@ -365,7 +373,7 @@ class TestStreamingEquivalence:
         expected = engine.poll(classify=False) + engine.finish(classify=False)
         block = EntryBlock.from_entries(entries)
         with FederatedSensor(
-            directory, config, n_shards=2, processes=False
+            directory, config, n_shards=2
         ) as federated:
             merged = self._stream(federated, block, chunk=chunk)
         assert len(merged) == len(expected) > 0
@@ -405,7 +413,7 @@ class TestStreamingProperty:
         engine.ingest_block(block)
         expected = engine.poll(classify=False) + engine.finish(classify=False)
         with FederatedSensor(
-            directory, config, n_shards=3, processes=False
+            directory, config, n_shards=3
         ) as federated:
             federated.ingest_block(block)
             merged = federated.poll(classify=False) + federated.finish(
@@ -416,31 +424,133 @@ class TestStreamingProperty:
             assert_windows_match(got, want)
 
 
+def _running(pid: int) -> bool:
+    """Whether *pid* is a live process (a zombie has exited)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+def _python(script: str, **popen: object) -> subprocess.Popen:
+    """A Python subprocess running *script* against this checkout's ``src``."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.Popen(
+        [sys.executable, "-c", script],
+        stdout=subprocess.PIPE,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        **popen,
+    )
+
+
 class TestProcessPool:
-    def test_fork_pool_matches_inline(self):
+    @pytest.mark.parametrize("n_shards", [1, 2])
+    def test_shards_exit_when_their_parent_is_killed(self, n_shards):
+        # Regression: a SIGKILLed parent left its shard workers asleep
+        # for good, each holding its own request pipe's write end.
+        parent = _python(
+            "import multiprocessing, time\n"
+            "from repro.federation import FederatedSensor\n"
+            "from repro.sensor.directory import FrozenDirectory\n"
+            f"sensor = FederatedSensor(FrozenDirectory([]), n_shards={n_shards})\n"
+            "print(*[p.pid for p in multiprocessing.active_children()], flush=True)\n"
+            "time.sleep(600)\n"
+        )
+        pids: list[int] = []
+        try:
+            pids = [int(pid) for pid in parent.stdout.readline().split()]
+            assert len(pids) == n_shards
+            parent.kill()
+            parent.wait()
+            deadline = time.monotonic() + 10.0
+            while any(map(_running, pids)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert [pid for pid in pids if _running(pid)] == []
+        finally:
+            parent.kill()
+            parent.wait()
+            parent.stdout.close()
+            for pid in pids:
+                if _running(pid):
+                    os.kill(pid, signal.SIGKILL)
+
+    def test_shards_leave_ctrl_c_to_their_parent(self):
+        # Regression: Ctrl-C reaches the whole process group, and killed
+        # the shards of a parent that handles it (`repro serve` then
+        # flushes its last window), so that flush failed.
+        parent = _python(
+            "import signal, sys\n"
+            "from repro.federation import FederatedSensor\n"
+            "from repro.logstore import EntryBlock\n"
+            "from repro.sensor.directory import FrozenDirectory\n"
+            "sensor = FederatedSensor(FrozenDirectory([]), n_shards=2)\n"
+            "signal.signal(signal.SIGINT, lambda *_: None)\n"
+            "print('ready', flush=True)\n"
+            "sys.stdin.readline()\n"
+            "block = EntryBlock.from_arrays([1.0], [5], [7])\n"
+            "print(len(sensor.process(block, 0.0, 10.0, classify=False)))\n",
+            stdin=subprocess.PIPE,
+            start_new_session=True,
+        )
+        try:
+            assert parent.stdout.readline() == "ready\n"
+            os.killpg(parent.pid, signal.SIGINT)
+            time.sleep(0.5)
+            out, _ = parent.communicate("go\n", timeout=60)
+            assert (parent.returncode, out) == (0, "1\n")
+        finally:
+            if parent.poll() is None:
+                os.killpg(parent.pid, signal.SIGKILL)
+                parent.communicate()
+
+    def test_a_shard_exception_re_raises_in_the_parent(self):
+        worker = ShardWorker(0, directory_for(range(100, 102)), SensorConfig())
+        pool = ShardPool([worker])
+        try:
+            with pytest.raises(KeyError):
+                pool.call([(0, "featurize_window", (7, None))])
+            # Every reply was read: the next call gets its own answer.
+            [(summaries, dropped, _)] = pool.call([(0, "finish", ())])
+            assert (summaries, dropped) == ([], 0)
+        finally:
+            pool.close()
+
+    def test_a_killed_shard_fails_the_next_call_naming_it(self):
         directory = directory_for(range(100, 140))
         config = SensorConfig(window_seconds=100.0, min_queriers=3)
-        entries = synthetic_entries(windows=1)
-        with FederatedSensor(
-            directory, config, n_shards=2, processes=False
-        ) as inline:
-            expected = inline.process(entries, 0.0, 100.0, classify=False)
-        with FederatedSensor(
-            directory, config, n_shards=2, processes=True
-        ) as forked:
-            merged = forked.process(entries, 0.0, 100.0, classify=False)
-        for got, want in zip(merged, expected):
-            assert np.array_equal(got.features.matrix, want.features.matrix)
-            assert np.array_equal(
-                got.features.originators, want.features.originators
-            )
+        block = EntryBlock.from_entries(synthetic_entries())
+        with FederatedSensor(directory, config, n_shards=2) as federated:
+            federated.ingest_block(block[:100])
+            [victim] = [
+                p for p in multiprocessing.active_children() if p.name == "repro-shard-1"
+            ]
+            os.kill(victim.pid, signal.SIGKILL)
+            raised: list[tuple[type, str]] = []
+
+            def feed() -> None:
+                try:
+                    federated.ingest_block(block[100:])
+                except Exception as exc:
+                    raised.append((type(exc), str(exc)))
+
+            caller = threading.Thread(target=feed, daemon=True)
+            caller.start()
+            caller.join(10.0)
+            assert not caller.is_alive(), "a dead shard hung the caller"
+            [(kind, message)] = raised
+            assert kind is RuntimeError
+            assert message.startswith(f"shard 1 (pid {victim.pid}) is gone")
+        assert multiprocessing.active_children() == []
 
     def test_telemetry_instruments_emitted(self):
         registry = MetricsRegistry()
         directory = directory_for(range(100, 140))
         config = SensorConfig(window_seconds=100.0, min_queriers=3)
         with FederatedSensor(
-            directory, config, n_shards=2, processes=False, registry=registry
+            directory, config, n_shards=2, registry=registry
         ) as federated:
             sensed = federated.process(synthetic_entries(windows=1), 0.0, 100.0)
         names = set(registry.names())
@@ -518,7 +628,7 @@ class TestProcessPool:
 
         single, want = run(SensorEngine(directory, config, registry=MetricsRegistry()))
         with FederatedSensor(
-            directory, config, n_shards=2, processes=False, registry=MetricsRegistry()
+            directory, config, n_shards=2, registry=MetricsRegistry()
         ) as federated:
             sharded, got = run(federated)
         assert set(want) <= set(got)
@@ -529,10 +639,13 @@ class TestProcessPool:
         ] + [
             "repro_stage_items_total",
             "repro_ingest_block_events_total",
+            "repro_enrichment_cache_hits_total",
+            "repro_enrichment_cache_misses_total",
         ]
-        assert len(counted) == 6
+        assert len(counted) == 8
         for name in counted:
             assert got[name] == want[name], name
+        assert want["repro_enrichment_cache_hits_total"][()]["value"] > 0
         sense = (("outcome", "ok"), ("span", "window.sense"))
         assert got["repro_span_total"][sense] == want["repro_span_total"][sense]
         windows = want["repro_stream_windows_total"][()]["value"]

@@ -291,7 +291,7 @@ class TestNonFiniteTimestamps:
 
         def run(source):
             block = EntryBlock.from_arrays(*columns(source, 0, len(source)))
-            with FederatedSensor(directory, config, n_shards=2, processes=False) as fed:
+            with FederatedSensor(directory, config, n_shards=2) as fed:
                 merged = []
                 for lo in range(0, len(block), 29):
                     fed.ingest_block(block[lo : lo + 29])

@@ -283,7 +283,7 @@ class TestOnWindowHook:
         block = EntryBlock.from_entries(entries)
         seen = []
         with FederatedSensor(
-            directory, config, n_shards=2, processes=False
+            directory, config, n_shards=2
         ) as federated:
             federated.fit_from(trainer)
             federated.on_window(seen.append)
