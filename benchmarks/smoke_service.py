@@ -16,11 +16,13 @@ also carry the engine's ``repro_ingest_blocks_total`` and the per-shard
 processes too: they hold the service's stdout, so an unreaped one would
 keep the final read from ever finishing.
 
-With ``--kill`` (needs ``--shards`` 2 or more) the service is SIGKILLed
-instead: every shard process it had (its children, read from ``/proc``
-before the kill) must be gone within ``KILL_DEADLINE_S``, since
-a shard's only way to learn of its parent's death is the EOF on its
-pipe.
+With ``--kill`` the service is SIGKILLed instead, and every child
+process it had (read from ``/proc`` before the kill) must be gone within
+``KILL_DEADLINE_S``, since a worker's only way to learn of its parent's
+death is the EOF on its pipe.  With ``--shards 1`` the kill comes right
+after the serving line, while the initial-fit worker (forked before the
+service starts) is its one child; with ``--shards N`` (N > 1) it comes
+once verdicts are served, when the N shards are its only children.
 
 Usage::
 
@@ -41,7 +43,7 @@ import urllib.request
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
-#: Seconds a SIGKILLed service's shards get to see their EOF and exit.
+#: Seconds a SIGKILLed service's workers get to see their EOF and exit.
 KILL_DEADLINE_S = 10.0
 
 
@@ -113,10 +115,10 @@ def children(pid: int) -> list[int]:
     return sorted(out)
 
 
-def kill_and_watch(proc: subprocess.Popen, shards: int) -> int:
-    """SIGKILL the service; every shard it had must exit within the deadline."""
+def kill_and_watch(proc: subprocess.Popen, workers: int) -> int:
+    """SIGKILL the service; every worker it had must exit within the deadline."""
     pids = children(proc.pid)
-    assert len(pids) == shards, f"expected {shards} shard processes, found {pids}"
+    assert len(pids) == workers, f"expected {workers} worker processes, found {pids}"
     proc.kill()
     proc.wait()
     deadline = time.monotonic() + KILL_DEADLINE_S
@@ -125,8 +127,8 @@ def kill_and_watch(proc: subprocess.Popen, shards: int) -> int:
     left = [pid for pid in pids if running(pid)]
     for pid in left:
         os.kill(pid, signal.SIGKILL)
-    assert not left, f"shard processes {left} outlived the SIGKILLed service"
-    print(f"smoke_service: PASS (shards {pids} exited after SIGKILL)")
+    assert not left, f"worker processes {left} outlived the SIGKILLed service"
+    print(f"smoke_service: PASS (workers {pids} exited after SIGKILL)")
     return 0
 
 
@@ -142,10 +144,8 @@ def main() -> int:
     parser.add_argument("--shards", type=int, default=1,
                         help="forwarded to `repro serve --shards`")
     parser.add_argument("--kill", action="store_true",
-                        help="SIGKILL the service and require its shards to exit")
+                        help="SIGKILL the service and require its workers to exit")
     args = parser.parse_args()
-    if args.kill and args.shards < 2:
-        parser.error("--kill needs --shards 2 or more")
     deadline = time.monotonic() + args.timeout
 
     with tempfile.TemporaryDirectory(prefix="smoke-service-") as tmp:
@@ -176,6 +176,8 @@ def main() -> int:
                 print(f"  serve: {line.rstrip()}")
                 if line.startswith("serving http on "):
                     port = int(line.rsplit(":", 1)[1])
+            if args.kill and args.shards == 1:
+                return kill_and_watch(proc, 1)  # the initial-fit worker
 
             windows = 0
             while windows == 0:

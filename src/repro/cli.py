@@ -441,6 +441,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             await service.drain()
         print(f"replayed {len(entries):,} events "
               f"({service.health()['windows']} windows closed)", flush=True)
+        service.start_fit()
         if args.once:
             service.request_shutdown()
         await service.wait_shutdown()
@@ -448,7 +449,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return True
 
     if not asyncio.run(run()):
-        service.engine.close()  # reaps --shards workers
+        service.close()  # reaps the fit and --shards workers
         return 1
     health = service.health()
     print(

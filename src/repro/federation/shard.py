@@ -24,7 +24,9 @@ Process fan-out: :class:`ShardPool` forks one process per shard behind
 one duplex pipe; the parent sends ``(method, args)`` — flat arrays and
 index/context tuples — and the shard replies ``(ok, value)``.  A shard
 holds no parent end of any pipe, so it exits on EOF when the parent
-closes the pool, exits or dies.
+closes the pool, exits or dies.  The same transport carries
+``repro serve``'s initial vote fit (:mod:`repro.service.service`), the
+one other worker process in the package.
 """
 
 from __future__ import annotations
@@ -243,11 +245,12 @@ def _serve(conn: Connection, worker: ShardWorker) -> None:
     try:
         while True:
             method, args = conn.recv()
-            try:
-                reply = (True, getattr(worker, method)(*args))
+            try:  # a reply is pickled whole before its first byte is sent
+                conn.send((True, getattr(worker, method)(*args)))
+            except (EOFError, BrokenPipeError):
+                raise
             except Exception as exc:  # handed to the parent, which raises it
-                reply = (False, (exc, traceback.format_exc()))
-            conn.send(reply)
+                conn.send((False, (exc, traceback.format_exc())))
     except (EOFError, BrokenPipeError):
         return  # the parent closed its end, exited or died
 
@@ -255,22 +258,25 @@ def _serve(conn: Connection, worker: ShardWorker) -> None:
 class ShardPool:
     """One process per shard, forked here, behind one duplex pipe each.
 
-    A shard inherits its :class:`ShardWorker` (never pickled) and answers
+    A shard inherits its worker object — a :class:`ShardWorker`, or any
+    object whose methods the requests name — (never pickled) and answers
     requests in arrival order, which the driver's feed → close →
-    featurize sequencing relies on.
+    featurize sequencing relies on.  Fork only while the process has one
+    thread: a lock another thread holds at the fork stays held in the
+    child for good.
     """
 
-    def __init__(self, workers: Sequence[ShardWorker]) -> None:
+    def __init__(self, workers: Sequence[object], name: str = "repro-shard") -> None:
         context = multiprocessing.get_context("fork")
         self._shards: list[tuple[Connection, BaseProcess]] = []
         # Ctrl-C stays blocked in a new shard until it has ignored it.
         mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
         try:
-            for worker in workers:
+            for index, worker in enumerate(workers):
                 parent_end, child_end = context.Pipe()
                 _PARENT_ENDS.add(parent_end)
                 process = context.Process(target=_serve, args=(child_end, worker), daemon=True,
-                                          name=f"repro-shard-{worker.shard_id}")
+                                          name=f"{name}-{index}")
                 process.start()
                 child_end.close()  # the shard's death is then this end's EOF
                 self._shards.append((parent_end, process))
@@ -284,13 +290,25 @@ class ShardPool:
         """Run ``(shard, method, args)`` requests, at most one per shard.
 
         Every request is sent before any reply is read, so shards work
-        concurrently.  A shard's exception re-raises here once every
-        reply is in; a shard that is gone closes the pool and raises
-        :class:`RuntimeError` naming it.
+        concurrently.
         """
+        self.send(requests)
+        return self.receive([shard for shard, _, _ in requests])
+
+    def send(self, requests: Sequence[tuple[int, str, tuple]]) -> None:
+        """Send ``(shard, method, args)`` requests, at most one per shard,
+        without waiting; :meth:`receive` collects the replies."""
         for shard, method, args in requests:
             self._transfer(shard, "send", (method, args))
-        replies = [self._transfer(shard, "recv") for shard, _, _ in requests]
+
+    def receive(self, shards: Sequence[int]) -> list[object]:
+        """The replies to the requests sent to *shards*, in that order.
+
+        A shard's exception re-raises here once every reply is in; a
+        shard that is gone closes the pool and raises
+        :class:`RuntimeError` naming it.
+        """
+        replies = [self._transfer(shard, "recv") for shard in shards]
         for ok, value in replies:
             if not ok:
                 exc, remote = value
@@ -307,13 +325,17 @@ class ShardPool:
                 f"shard {shard} (pid {process.pid}) is gone: exit code {process.exitcode}"
             ) from exc
 
-    def close(self) -> None:
-        """End every shard (idempotent): close its pipe, then reap it."""
+    def close(self, timeout: float = 5.0) -> None:
+        """End every shard (idempotent): close its pipe, then reap it.
+
+        A shard still working when its EOF comes has *timeout* seconds to
+        finish before it is terminated.
+        """
         for conn, _ in self._shards:
             _PARENT_ENDS.discard(conn)
             conn.close()
         for _, process in self._shards:
-            process.join(5.0)
+            process.join(timeout)
             if process.exitcode is None:  # it ignored its EOF
                 process.terminate()
                 process.join()

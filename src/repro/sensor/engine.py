@@ -273,7 +273,7 @@ class SensorEngine:
         self.encoder = LabelEncoder()
         self._train_X: np.ndarray | None = None
         self._train_y: np.ndarray | None = None
-        self._voter: MajorityVoter | None = None
+        self._voter: MajorityVoter | Callable[[], MajorityVoter | None] | None = None
         self._collector: StreamingCollector | None = None
         self._absorbed = StreamingStats()
         self._window_callbacks: list[Callable[[SensedWindow], None]] = []
@@ -757,13 +757,14 @@ class SensorEngine:
         return X, y, used
 
     def fit(self, features: FeatureSet, labeled: LabeledSet) -> "SensorEngine":
-        """Train the classify stage on the labeled originators present."""
-        with self._scope(), span("classifier.fit"):
-            X, y, _ = self.training_data(features, labeled)
-            self._train_X = X
-            self._train_y = y
-            self._voter = None
-        return self
+        """Train the classify stage on the labeled originators present.
+
+        This selects the training rows; the vote itself is fitted when
+        :meth:`classify` first needs it, or handed over by
+        :meth:`adopt_voter`.
+        """
+        X, y, _ = self.training_data(features, labeled)
+        return self.adopt_training(X, y, self.encoder)
 
     @property
     def is_fitted(self) -> bool:
@@ -802,29 +803,39 @@ class SensorEngine:
         self._voter = None
         return self
 
-    def adopt_voter(self, voter: MajorityVoter) -> "SensorEngine":
+    def adopt_voter(
+        self, voter: MajorityVoter | Callable[[], MajorityVoter | None]
+    ) -> "SensorEngine":
         """Hand over the fitted vote for the training set just adopted.
 
-        ``ModelManager`` fits it on its background thread so the thread
-        that closes windows never trains.  It is only ever used if it was
-        fitted on exactly this engine's ``(classifier_factory, X, y,
-        majority_runs, seed)``; anything else is refitted at the next
-        :meth:`classify`, so a wrong hand-over costs time, not verdicts.
+        ``ModelManager`` fits it on its background thread, and
+        ``BackscatterService`` the first one in a worker process, so the
+        thread that closes windows never trains.  *voter* may also be a
+        callable that :meth:`classify` calls when it first needs the
+        vote (``None`` if none could be had).  A vote is only ever used
+        if it was fitted on exactly :attr:`vote_args`; anything else is
+        refitted at the next :meth:`classify`, so a wrong or failed
+        hand-over costs time, not verdicts.
         """
         self._voter = voter
         return self
 
+    @property
+    def vote_args(self) -> tuple:
+        """The :func:`~repro.ml.validation.fit_majority_vote` arguments of
+        the current model: ``(classifier_factory, X, y, majority_runs,
+        seed)``."""
+        config = self.config
+        return (config.classifier_factory, self._train_X, self._train_y,
+                config.majority_runs, config.seed)
+
     def _fitted_voter(self) -> MajorityVoter:
         """The vote for the current model: fitted once, then reused."""
-        key = (
-            self.config.classifier_factory,
-            self._train_X,
-            self._train_y,
-            self.config.majority_runs,
-            self.config.seed,
-        )
-        if self._voter is None or not self._voter.fitted_on(*key):
-            self._voter = fit_majority_vote(*key)
+        args = self.vote_args
+        if callable(self._voter):  # handed over, collected on first need
+            self._voter = self._voter()
+        if self._voter is None or not self._voter.fitted_on(*args):
+            self._voter = fit_majority_vote(*args)
         return self._voter
 
     def classify(self, features: FeatureSet) -> list[ClassifiedOriginator]:

@@ -22,7 +22,12 @@ The hot-swap guarantee: models are fitted off the pump task (thread
 executor) and installed by :meth:`ModelManager.apply_pending` only
 *between* steps; since a window is classified exactly once, at close,
 inside ``poll()``, every window's verdicts come from one complete model
-and no event is dropped while models change.
+and no event is dropped while models change.  The initial model's vote
+is fitted in a worker process forked by :meth:`~BackscatterService.fit_from`
+(while the process is still single-threaded) and collected by the first
+window that needs it, so the pump never trains and a feed's decode never
+competes with that fit; a worker that fails leaves the engine's own
+in-process fit.
 
 A step that raises (a bad ``engine.on_window`` hook, say) is logged and
 counted, ``/healthz`` turns ``"degraded"``, and the pump carries on with
@@ -37,13 +42,16 @@ import asyncio
 import logging
 import math
 import threading
+import time
 from collections import Counter as TallyCounter
 from collections import deque
 from typing import TYPE_CHECKING
 
 from repro.analysis.alerts import SurgeDetector
 from repro.federation import sensor_for
+from repro.federation.shard import ShardPool
 from repro.logstore.block import DEFAULT_CHUNK_EVENTS, concat_blocks
+from repro.ml.validation import MajorityVoter, fit_majority_vote
 from repro.netmodel.addressing import ip_to_str
 from repro.sensor.engine import SECONDS_PER_DAY, SensedWindow, SensorEngine
 from repro.sensor.training import Strategy
@@ -63,13 +71,63 @@ __all__ = ["BackscatterService"]
 
 _LOG = logging.getLogger(__name__)
 
+#: What became of the initial vote's worker fit, counted when a window
+#: first needs the vote: ``failed`` (it raised or died) leaves the fit to
+#: the engine, in process.
+INITIAL_FIT_OUTCOMES = ("worker", "failed")
+
+
+class _InitialFit:
+    """The initial vote's worker process, behind ``shard.py``'s pipe.
+
+    Forked at construction, inheriting this object, whose :meth:`fit` it
+    runs once :meth:`start` sends the request; :meth:`result` receives
+    the fitted models, then reaps the worker.
+    """
+
+    def __init__(self, vote_args: tuple) -> None:
+        self.vote_args = vote_args
+        self._sent = False
+        self._lock = threading.Lock()  # start() runs on the loop, result() on the pump
+        self._pool: ShardPool | None = ShardPool([self], name="repro-fit")
+
+    def fit(self) -> tuple[list, float]:
+        """In the worker: one § III-D vote's fitted models, and its seconds."""
+        started = time.perf_counter()
+        models = fit_majority_vote(*self.vote_args).models
+        return models, time.perf_counter() - started
+
+    def start(self) -> None:
+        """Send the fit request, unless it is sent or the worker is gone."""
+        with self._lock:
+            if self._pool is not None and not self._sent:
+                self._pool.send([(0, "fit", ())])
+                self._sent = True
+
+    def result(self) -> tuple[list, float]:
+        """The worker's fitted models and fit seconds; raises if it failed."""
+        self.start()
+        try:
+            [reply] = self._pool.receive([0])
+            return reply
+        finally:
+            self.close()
+
+    def close(self) -> None:
+        """Reap the worker now (idempotent): it has nothing left to send."""
+        with self._lock:
+            if self._pool is not None:
+                self._pool.close(timeout=0.0)
+                self._pool = None
+
 
 class BackscatterService:
     """One running sensor deployment; see the module docstring.
 
     Lifecycle: construct → :meth:`fit` / :meth:`fit_from` (optional but
-    required for verdicts) → ``await start()`` → feed it (socket, tail,
-    or :meth:`submit_block`) → ``await stop()``.  All feed ingestion
+    required for verdicts; before any thread starts) → ``await start()``
+    → optionally :meth:`start_fit` → feed it (socket, tail, or
+    :meth:`submit_block`) → ``await stop()``.  All feed ingestion
     funnels through one internal queue consumed by a single pump task,
     so engine state never sees concurrent mutation.  Unless noted,
     methods must be called on the service's event loop.
@@ -133,6 +191,15 @@ class BackscatterService:
                                   "Events still queued when the last step began.")
         self._lag_gauge = gauge("repro_service_feed_lag_seconds",
                                 "Newest feed timestamp minus last closed window end.")
+        self._initial_fit_seconds = gauge(
+            "repro_service_initial_fit_seconds",
+            "Seconds the worker process took to fit the initial model's vote.")
+        self._initial_vote_wait = gauge(
+            "repro_service_initial_vote_wait_seconds",
+            "Seconds the first window that needed the initial vote waited for it.")
+        self._initial_fit_outcomes = counter(
+            "repro_service_initial_fit_total",
+            "Initial vote fits collected from the worker, by outcome.", labels=("outcome",))
         # Each labelled series a fact can land in exports 0 from the start.
         for outcome in SWAP_OUTCOMES:
             self._swaps.inc(0, outcome=outcome)
@@ -140,6 +207,9 @@ class BackscatterService:
             self._alert_count.inc(0, app_class=app_class)
         for reason in FEED_ERROR_REASONS:
             self._feed_errors.inc(0, reason=reason)
+        for outcome in INITIAL_FIT_OUTCOMES:
+            self._initial_fit_outcomes.inc(0, outcome=outcome)
+        self._initial_fit: _InitialFit | None = None
         self._newest_ts: float | None = None
         self._last_window_end: float | None = None
         self._queue: asyncio.Queue["EntryBlock"] | None = None
@@ -167,9 +237,11 @@ class BackscatterService:
     def fit(
         self, features: "FeatureSet", labeled: "LabeledSet"
     ) -> "BackscatterService":
-        """Train the initial model and arm the retraining loop."""
+        """Train the initial model and arm the retraining loop (see
+        :meth:`fit_from`)."""
         self.engine.fit(features, labeled)
         self._arm_retraining(labeled)
+        self._fork_initial_fit()
         return self
 
     def fit_from(
@@ -179,11 +251,57 @@ class BackscatterService:
 
         *labeled* is required when the configured strategy retrains —
         retrain-daily refits from the curated set on fresh features, and
-        auto-grow seeds from it.
+        auto-grow seeds from it.  The initial vote is fitted in a worker
+        process forked here, if the process has no other thread yet (a
+        fork must not copy a lock another thread holds); it starts at
+        :meth:`start_fit` or when a window first needs it, whichever is
+        first.
         """
         self.engine.fit_from(trainer)
         self._arm_retraining(labeled)
+        self._fork_initial_fit()
         return self
+
+    def _fork_initial_fit(self) -> None:
+        self._close_initial_fit()
+        if threading.active_count() == 1:
+            self._initial_fit = _InitialFit(self.engine.vote_args)
+            self.engine.adopt_voter(self._collect_initial_vote)
+
+    def start_fit(self) -> None:
+        """Start fitting the initial vote in its worker now.
+
+        ``repro serve`` calls it once its replay is done, so the fit
+        runs beside the live feed on an otherwise idle core.  A no-op
+        when the fit is already out, collected, or was never forked.
+        """
+        if self._initial_fit is not None:
+            self._initial_fit.start()
+
+    def _collect_initial_vote(self) -> MajorityVoter | None:
+        """The engine's hand-over callable: the worker's vote, rebuilt
+        around this engine's own ``X``/``y``; None leaves the fit to the
+        engine, in process."""
+        fit, self._initial_fit = self._initial_fit, None
+        if fit is None:  # closed before any window needed it
+            return None
+        waited = time.perf_counter()
+        try:
+            models, fit_seconds = fit.result()
+        except Exception as exc:  # it raised or died in the worker
+            _LOG.warning("initial vote fit failed in its worker, fitting in process: %r", exc)
+            self._initial_fit_outcomes.inc(outcome="failed")
+            return None
+        finally:
+            self._initial_vote_wait.set(time.perf_counter() - waited)
+        self._initial_fit_seconds.set(fit_seconds)
+        self._initial_fit_outcomes.inc(outcome="worker")
+        return MajorityVoter(models, fit.vote_args)
+
+    def _close_initial_fit(self) -> None:
+        fit, self._initial_fit = self._initial_fit, None
+        if fit is not None:
+            fit.close()
 
     def _arm_retraining(self, labeled: "LabeledSet | None") -> None:
         strategy = self.config.retrain
@@ -298,11 +416,19 @@ class BackscatterService:
         await self._run_step(self.engine.finish)
         self._update_lag()
         await self._http.stop()
-        if self.manager is not None:
-            self.manager.close()
-        self.engine.close()
+        self.close()
         self._started = False
         return self
+
+    def close(self) -> None:
+        """Reap every worker the service holds (idempotent): the retrain
+        thread, an initial-fit worker no window collected, and shards.
+        :meth:`stop` ends with it; call it alone on a service that never
+        started."""
+        if self.manager is not None:
+            self.manager.close()
+        self._close_initial_fit()
+        self.engine.close()
 
     # -- feed ingestion -------------------------------------------------
 

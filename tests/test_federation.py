@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -446,6 +447,14 @@ def _python(script: str, **popen: object) -> subprocess.Popen:
     )
 
 
+class _Replies:
+    def unpicklable(self):
+        return lambda: None
+
+    def picklable(self):
+        return 1
+
+
 class TestProcessPool:
     @pytest.mark.parametrize("n_shards", [1, 2])
     def test_shards_exit_when_their_parent_is_killed(self, n_shards):
@@ -515,6 +524,28 @@ class TestProcessPool:
             # Every reply was read: the next call gets its own answer.
             [(summaries, dropped, _)] = pool.call([(0, "finish", ())])
             assert (summaries, dropped) == ([], 0)
+        finally:
+            pool.close()
+
+    def test_a_request_sent_now_is_received_later(self):
+        worker = ShardWorker(0, directory_for(range(100, 102)), SensorConfig())
+        pool = ShardPool([worker], name="repro-probe")
+        try:
+            pool.send([(0, "finish", ())])
+            names = [p.name for p in multiprocessing.active_children()]
+            assert "repro-probe-0" in names
+            [(summaries, dropped, _)] = pool.receive([0])
+            assert (summaries, dropped) == ([], 0)
+        finally:
+            pool.close()
+
+    def test_a_reply_that_does_not_pickle_re_raises_in_the_parent(self):
+        # Regression: the shard died on it, and the parent saw only EOF.
+        pool = ShardPool([_Replies()])
+        try:
+            with pytest.raises((AttributeError, pickle.PicklingError)):
+                pool.call([(0, "unpicklable", ())])
+            assert pool.call([(0, "picklable", ())]) == [1]
         finally:
             pool.close()
 

@@ -13,7 +13,9 @@ from __future__ import annotations
 import asyncio
 import json
 import multiprocessing
+import os
 import re
+import signal
 import socket
 import struct
 import threading
@@ -32,6 +34,8 @@ from repro.sensor.curation import LabeledSet
 from repro.sensor.directory import FrozenDirectory, QuerierInfo
 from repro.sensor.engine import SensorConfig, SensorEngine
 from repro.service import BackscatterService, ServiceConfig
+from repro.service.service import _InitialFit
+from repro.telemetry import MetricsRegistry
 
 WIDTH = 100.0
 
@@ -484,24 +488,28 @@ class TestStartUnwinds:
         asyncio.run(run())
 
 
-class _CountingFactory:
-    """A small forest per seed that logs which thread each ``fit`` ran on."""
+class _Counted(RandomForestClassifier):
+    """A small forest that logs, in its factory, the thread each ``fit`` ran
+    on (a fit in a worker process logs in the worker's copy)."""
 
+    def __init__(self, factory: "_CountingFactory", seed: int) -> None:
+        super().__init__(ForestConfig(n_trees=5), seed=seed)
+        self.factory = factory
+
+    def fit(self, X, y):
+        self.factory.fit_threads.append(threading.current_thread().name)
+        if self.factory.explode:
+            raise RuntimeError("boom")
+        return super().fit(X, y)
+
+
+class _CountingFactory:
     def __init__(self) -> None:
         self.fit_threads: list[str] = []
         self.explode = False
 
-    def __call__(self, seed: int):
-        outer = self
-
-        class Counted(RandomForestClassifier):
-            def fit(self, X, y):
-                outer.fit_threads.append(threading.current_thread().name)
-                if outer.explode:
-                    raise RuntimeError("boom")
-                return super().fit(X, y)
-
-        return Counted(ForestConfig(n_trees=5), seed=seed)
+    def __call__(self, seed: int) -> _Counted:
+        return _Counted(self, seed)
 
 
 class TestPredictOnlyClose:
@@ -566,14 +574,13 @@ class TestPredictOnlyClose:
 
         service = asyncio.run(run())
         assert service.health()["swaps"] == {"swapped": 5, "failed": 1}
-        # The first close fitted the initial model's vote where it ran;
-        # every later fit ran on the manager's thread.
-        pump = [t for t in factory.fit_threads if not t.startswith("model-fit")]
-        assert len(pump) == config.majority_runs
-        assert factory.fit_threads[: len(pump)] == pump
+        # The initial model's vote was fitted in the worker process; every
+        # later fit ran on the manager's thread.
+        assert _counter(service, "repro_service_initial_fit_total", outcome="worker") == 1
+        assert all(t.startswith("model-fit") for t in factory.fit_threads)
         # One candidate per closed window: six fitted (the last one after the
         # final close, never installed), the exploding one stopped at fit one.
-        assert len(factory.fit_threads) - len(pump) == 6 * config.majority_runs + 1
+        assert len(factory.fit_threads) == 6 * config.majority_runs + 1
         records = service.windows()
         assert [r["model_version"] for r in records] == [0, 1, 2, 3, 4, 4, 5]
         assert len(sensed_windows) == n_windows
@@ -792,3 +799,100 @@ class TestRaisingStep:
         assert service.health()["step_errors"] == 3
         assert _counter(service, "repro_service_step_errors_total") == 3
         assert service.http_address is None
+
+
+def _fit_workers() -> list[str]:
+    """Live initial-fit worker processes of this process."""
+    return [p.name for p in multiprocessing.active_children() if p.name.startswith("repro-fit")]
+
+
+def _raise_in_worker(self):
+    raise ValueError("boom")
+
+
+def _die_in_worker(self):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+class TestInitialFitWorker:
+    """The initial vote is fitted in a worker forked by ``fit_from`` and
+    collected by the first window that needs it."""
+
+    def _serve_windows(self, *, start_fit=True, feed=True):
+        directory, config, trainer, _, block = trained_world()
+        seen = {}
+
+        async def run():
+            service = BackscatterService(directory, ServiceConfig(port=0, sensor=config))
+            service.fit_from(trainer)
+            seen["forked"] = _fit_workers()
+            await service.start()
+            if start_fit:
+                service.start_fit()
+            if feed:
+                first = int(np.searchsorted(block.timestamps, WIDTH + 50.0))
+                service.submit_block(block[:first])  # closes the first window
+                await service.drain()
+                seen["after_hand_over"] = (len(service.windows()), _fit_workers())
+                service.submit_block(block[first:])
+            await service.stop()
+            return service
+
+        service = asyncio.run(run())
+        expected = verdict_records(offline_reference(directory, config, trainer, block))
+        return service, expected, seen
+
+    def test_served_verdicts_equal_an_in_process_fit(self):
+        service, expected, seen = self._serve_windows()
+        assert seen["forked"] == ["repro-fit-0"]
+        assert seen["after_hand_over"] == (1, [])
+        final = service.windows()
+        assert [(w["start"], w["end"], w["verdicts"]) for w in final] == [
+            (w["start"], w["end"], w["verdicts"]) for w in expected
+        ]
+        # The vote was rebuilt around the engine's own training arrays.
+        engine = service.engine
+        assert engine._voter.fitted_on(*engine.vote_args)
+        assert _counter(service, "repro_service_initial_fit_total", outcome="worker") == 1
+        assert _counter(service, "repro_service_initial_fit_total", outcome="failed") == 0
+        assert _counter(service, "repro_service_initial_fit_seconds") > 0
+        assert _counter(service, "repro_service_initial_vote_wait_seconds") > 0
+        text = service.registry.to_prometheus()
+        # The worker's own spans die with its registry copy; the service
+        # holds no fit span for the initial vote.
+        assert 'span="classifier.fit"' not in text
+        assert "repro_service_initial_fit_seconds " in text
+
+    @pytest.mark.parametrize("start_fit", [True, False])
+    def test_stop_before_any_window_reaps_the_worker(self, start_fit):
+        service, _, seen = self._serve_windows(start_fit=start_fit, feed=False)
+        assert seen["forked"] == ["repro-fit-0"]
+        assert _fit_workers() == []
+        assert service.windows() == []
+        assert _counter(service, "repro_service_initial_fit_total", outcome="worker") == 0
+
+    @pytest.mark.parametrize("fault", [_raise_in_worker, _die_in_worker])
+    def test_a_failed_worker_leaves_the_in_process_fit(self, fault, monkeypatch):
+        monkeypatch.setattr(_InitialFit, "fit", fault)  # inherited through fork
+        service, expected, seen = self._serve_windows()
+        assert seen["after_hand_over"] == (1, [])
+        final = service.windows()
+        assert [w["verdicts"] for w in final] == [w["verdicts"] for w in expected]
+        assert _counter(service, "repro_service_initial_fit_total", outcome="failed") == 1
+        assert _counter(service, "repro_service_initial_fit_total", outcome="worker") == 0
+        assert _counter(service, "repro_service_initial_fit_seconds") == 0
+        assert service.engine._voter.fitted_on(*service.engine.vote_args)
+
+
+def test_engine_fit_records_no_fit_span():
+    """``fit`` selects the training rows; only a vote's model fits are
+    ``classifier.fit`` spans."""
+    directory, config, trainer, labeled, block = trained_world()
+    registry = MetricsRegistry()
+    engine = SensorEngine(directory, config, registry=registry)
+    window = engine.process(block, 0.0, WIDTH, classify=False)[0]
+    engine.fit(window.features, labeled)
+    assert 'span="classifier.fit"' not in registry.to_prometheus()
+    engine.classify(window.features)
+    fits = registry.get("repro_span_total").value(span="classifier.fit", outcome="ok")
+    assert fits == config.majority_runs
